@@ -2,6 +2,11 @@
 frozen linear (with or without the smoothing remainder), its exact pairing
 adjoint, and the full nonlinear flow, forward or backward.
 
+The paradifferential generator i A(U) is an assembled sparse PairOp; the
+multiplicative frozen generator (with remainder, and the nonlinear step
+operator) is matrix-free, applied by FFTs, and its pairing transpose is the
+exact FFT transpose of the same computation (pairops.MultBlock).
+
 Each step solves (I - (dt/2) L_mid) x* = U_n + (dt/2) G_mid and sets
 U_{n+1} = 2 x* - U_n, with L_mid the generator at the midpoint time
 (frozen coefficients linearly interpolated between node snapshots).  The
@@ -102,8 +107,9 @@ class FrozenProgram:
     kind: "frozen_simplified" (i A(U), paradifferential) or
     "frozen_with_remainder" (i A(U) + R(U), the multiplicative frozen form).
     sign -1 gives the time-reversed generator; adjoint=True the exact
-    pairing adjoint -L^T (built by transposing the assembled step matrices,
-    so discrete duality is exact).
+    pairing adjoint -L^T (PairOp.transpose_pairing of each step operator:
+    the transposed CSR blocks of i A(U), the exact FFT transpose of the
+    matrix-free multiplicative form; discrete duality is exact either way).
 
     dealias (frozen_with_remainder only; default off) row-filters the
     nonlinear part of each step operator by the 2/3 mask, exactly as
@@ -152,7 +158,7 @@ class FrozenProgram:
             if self.kind == "frozen_simplified":
                 op = 1j * assemble_A_from_coeffs(co, self.cutoff, self.prune)
             else:
-                op = assemble_frozen_from_coeffs(co, self.prune)
+                op = assemble_frozen_from_coeffs(co)
                 if self.dealias:
                     op = _dealias_nonlinear(op)
             if self.sign != 1.0:
@@ -193,8 +199,7 @@ def _solve_shifted(op, a, b, krylov_tol, max_fixed=8, gmres_maxiter=300):
     """Solve (I - a L) x = b for the real-linear step operator L."""
     if isinstance(op, DiagonalOp):
         return b / (1.0 - a * op.d)
-    dz = op.Z.diagonal()
-    denom = 1.0 - a * dz
+    denom = 1.0 - a * op.diagonal()
     bn = np.linalg.norm(b)
     if bn == 0.0:
         return np.zeros_like(b)
@@ -300,10 +305,8 @@ def _dealias_nonlinear(L: PairOp) -> PairOp:
     nonlinear right-hand side.
     """
     grid = L.grid
-    mask = sp.diags(dealias_mask(grid).ravel().astype(float))
-    free = sp.diags(-1j * grid.abs2.ravel().astype(complex))
-    C = None if L.C is None else mask @ L.C
-    return PairOp(grid, free + mask @ (L.Z - free), C)
+    free = PairOp(grid, sp.diags(-1j * grid.abs2.ravel().astype(complex)))
+    return free + (L - free).row_scaled(dealias_mask(grid).astype(float))
 
 
 class NonlinearStepOps:
@@ -314,16 +317,15 @@ class NonlinearStepOps:
     dealiased nonlinear equation exactly.
     """
 
-    def __init__(self, grid, nl, sign=1.0, dealias=True, prune=DEFAULT_PRUNE):
+    def __init__(self, grid, nl, sign=1.0, dealias=True):
         self.grid = grid
         self.nl = nl
         self.sign = float(sign)
-        self.prune = prune
         self.dealias = dealias
 
     def at_state(self, coeffs):
         co = compute_coefficients(PairState(SpectralField(self.grid, coeffs)), self.nl)
-        L = assemble_frozen_from_coeffs(co, self.prune)
+        L = assemble_frozen_from_coeffs(co)
         if self.dealias:
             L = _dealias_nonlinear(L)
         return self.sign * L

@@ -149,7 +149,7 @@ class GccReport:
     L_max: float = np.nan
 
 
-def _directions(dim, n_dirs, q_max, rng):
+def _directions(dim, n_dirs, q_max):
     """Rational slopes up to q_max (the closed geodesics) plus irrational fill."""
     if dim == 1:
         return [np.array([1.0]), np.array([-1.0])]
@@ -223,7 +223,7 @@ def check_gcc(region: ControlRegion, dim=2, L_max=40.0, n_dirs=160, n_starts=12,
     runs proceed regardless, with observability exposing degeneration.
     """
     rng = np.random.default_rng(seed)
-    dirs = _directions(dim, n_dirs, q_max, rng)
+    dirs = _directions(dim, n_dirs, q_max)
     starts = []
     per_axis = max(2, int(np.ceil(n_starts ** (1.0 / dim))))
     lattice = np.linspace(0.0, TWO_PI, per_axis, endpoint=False)

@@ -379,9 +379,11 @@ class HumProblem:
         (Id + E) Z0 = U_in is solved by the Neumann fixed point
         Z <- U_in - E Z.  It stops when the sweep's change falls to
         neumann_tol relative to U_in (default 10 setup.cg_tol, above the floor
-        of the CG solve inside each application of E); two rises of that
-        change raise HumError with the change and the measured ||E||
-        estimate.
+        of the CG solve inside each application of E).  HumError, naming the
+        sweep count, the last relative change against the tolerance and the
+        measured ||E|| estimate, is raised when the change has risen twice
+        (counted over all sweeps, consecutive or not), or when max_neumann
+        sweeps end without reaching the tolerance.
         """
         st = self.setup
         b = self.filter_data(U_in if not isinstance(U_in, PairState) else U_in.u.coeffs)
@@ -411,6 +413,10 @@ class HumProblem:
                                    f"||E|| estimate {enorm:.3e}")
             prev_delta = delta
             Z = Z_new
+        else:
+            raise HumError(f"(Id+E) iteration not converged after {max_neumann} sweeps: "
+                           f"relative change {delta / bn:.3e} against tol {neumann_tol:.1e}, "
+                           f"||E|| estimate {enorm:.3e}")
         v0, rep = self.hum_invert(Z, x0=warm, prefilter=False)
         F = self.control_from_v0(v0)
         rep.extras["neumann_iterations"] = it + 1

@@ -24,8 +24,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .pairops import PairOp, conj_reflect
+from .pairops import MultBlock, PairOp
 from .paradiff import (CutoffProfile, SymbolTerm, TorusSymbol, banded_matrix,
                        xi_abs2, xi_component, xi_const)
 from .spectral import PairState, SpectralField, TorusGrid, pair_sobolev_norm
@@ -249,69 +250,59 @@ def full_nonlinear_rhs(u: SpectralField, nl: Nonlinearity, F: SpectralField = No
 def frozen_symbol_terms(coeffs: CoefficientSet):
     """Multiplication-form terms of the frozen operator L(U) w (without the i).
 
-    Returns (z_terms, c_terms): lists of (coeff values or None, xi) acting on
-    w and on conj(w) respectively, quantized at the input frequency
-    (composition of multiplication and Fourier multipliers, not Weyl).
+    Returns (z_terms, c_terms): lists of (coeff values, xi) acting on w and
+    on conj(w) respectively, quantized at the input frequency (composition
+    of multiplication and Fourier multipliers, not Weyl).  The free flow
+    Lap w = -|xi|^2 w is not among them.
     """
     grid = coeffs.grid
     d = grid.dim
     neg_abs2 = xi_abs2(d).scaled(-1.0)                    # Lap <-> -|xi|^2
     i_comp = [xi_component(d, a).scaled(1j) for a in range(d)]  # d_l <-> i xi_l
-    z_terms = [(None, neg_abs2), (coeffs.a2, neg_abs2), (coeffs.g2rho, xi_const(d))]
+    z_terms = [(coeffs.a2, neg_abs2), (coeffs.g2rho, xi_const(d))]
     z_terms += [(coeffs.e1[a], i_comp[a]) for a in range(d)]
     c_terms = [(coeffs.b2, neg_abs2)]
     c_terms += [(coeffs.f1[a], i_comp[a]) for a in range(d)]
     return z_terms, c_terms
 
 
-def _mult_matrix(grid, terms, prune):
-    sym = TorusSymbol(grid, [
-        SymbolTerm(None if c is None else grid.coeffs_from_values(c), xi)
-        for c, xi in terms
-    ]).prune(prune)
-    # wrapped: the exact matrix of c(x) * (multiplier w), a grid product
-    M, _ = banded_matrix(sym, cutoff=None, eval_at="input", wrap=True)
-    return M
-
-
-def assemble_frozen(U: PairState, nl: Nonlinearity, smallness_gate=1e-2,
-                    prune=DEFAULT_PRUNE) -> PairOp:
+def assemble_frozen(U: PairState, nl: Nonlinearity, smallness_gate=1e-2) -> PairOp:
     """The frozen linear generator: frozen_rhs(U, W) = i L(U) W as a PairOp.
 
     This equals i A(U) + R(U) by construction of the remainder.
     """
     _warn_smallness(U, smallness_gate)
-    return assemble_frozen_from_coeffs(compute_coefficients(U, nl), prune)
+    return assemble_frozen_from_coeffs(compute_coefficients(U, nl))
 
 
-def assemble_frozen_from_coeffs(coeffs: CoefficientSet, prune=DEFAULT_PRUNE) -> PairOp:
+def assemble_frozen_from_coeffs(coeffs: CoefficientSet) -> PairOp:
+    """i L(U) as a matrix-free PairOp.
+
+    The free flow -i|k|^2 is the sparse part (a CSR diagonal); the
+    coefficient terms c(x) m(D) form one multiplication block, applied as
+    i F[sum c F^-1(m w)] by FFTs, so the operator costs O(N^d) memory.
+    """
     grid = coeffs.grid
+    xi = [f.astype(float) for f in grid.freqs]
     z_terms, c_terms = frozen_symbol_terms(coeffs)
-    Mz = _mult_matrix(grid, z_terms, prune)
-    Mc = _mult_matrix(grid, c_terms, prune)
-    return PairOp(grid, 1j * Mz, 1j * Mc)
+    terms = z_terms + c_terms
+    block = MultBlock(np.full(grid.shape, 1j),
+                      np.stack([c for c, _ in terms]),
+                      np.stack([np.broadcast_to(m(xi), grid.shape) for _, m in terms]),
+                      len(z_terms))
+    free = sp.diags(-1j * grid.abs2.ravel().astype(complex), format="csr")
+    return PairOp(grid, free, mult=(block,))
 
 
 def frozen_linear_rhs(U_frozen: PairState, W: PairState, nl: Nonlinearity,
                       smallness_gate=1e-2) -> PairState:
-    """Linear-in-W frozen RHS; frozen_linear_rhs(U, U) == full_nonlinear_rhs(u)."""
-    _warn_smallness(U_frozen, smallness_gate)
-    coeffs = compute_coefficients(U_frozen, nl)
-    grid = coeffs.grid
-    w_hat = W.u.coeffs
-    cw_hat = grid.conj_coeffs(w_hat)
+    """Linear-in-W frozen RHS, the apply of assemble_frozen(U_frozen).
 
-    def mult_apply(terms, what):
-        out = np.zeros(grid.shape, dtype=complex)
-        for c, xi in terms:
-            ximesh = xi([f.astype(float) for f in grid.freqs])
-            dw = grid.values_from_coeffs(ximesh * what)
-            out += grid.coeffs_from_values(dw if c is None else c * dw)
-        return out
-
-    z_terms, c_terms = frozen_symbol_terms(coeffs)
-    rhs = 1j * (mult_apply(z_terms, w_hat) + mult_apply(c_terms, cw_hat))
-    return PairState(SpectralField(grid, rhs))
+    frozen_linear_rhs(U, U) == full_nonlinear_rhs(u) (undealiased).
+    """
+    L = assemble_frozen(U_frozen, nl, smallness_gate)
+    grid = U_frozen.grid
+    return PairState(SpectralField(grid, L.apply(W.u.coeffs.ravel()).reshape(grid.shape)))
 
 
 def remainder_apply(U_frozen: PairState, W: PairState, nl: Nonlinearity,
@@ -326,7 +317,7 @@ def remainder_apply(U_frozen: PairState, W: PairState, nl: Nonlinearity,
 
 def remainder_pairop(coeffs: CoefficientSet, cutoff: CutoffProfile,
                      prune=DEFAULT_PRUNE) -> PairOp:
-    """R(U) as an assembled PairOp (frozen minus i A)."""
-    frozen = assemble_frozen_from_coeffs(coeffs, prune)
+    """R(U) as a PairOp (frozen minus i A)."""
+    frozen = assemble_frozen_from_coeffs(coeffs)
     A = assemble_A_from_coeffs(coeffs, cutoff, prune)
     return frozen + (-1j) * A

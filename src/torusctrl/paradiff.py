@@ -246,25 +246,23 @@ def _bracket_sum(ks, src, m, dim):
     return np.sqrt(s)
 
 
-def _iter_coeff_modes(grid, coeff_shifted, keep_nyquist=False):
+def _iter_coeff_modes(grid, coeff_shifted):
     """Yield (shifted index, integer mode m) of nonzero coefficient entries.
 
-    Unless keep_nyquist, modes with a component on the Nyquist row
-    m_a = -N/2 are skipped: they have no conjugate partner +N/2 on the
-    lattice, so keeping them would break the exact Hermitian symmetry of
-    real-symbol quantizations.  For resolved smooth coefficients these
-    entries are at rounding level.  Wrapped multiplication operators keep
-    them (the grid product is the circular convolution over all modes).
+    Modes with a component on the Nyquist row m_a = -N/2 are skipped: they
+    have no conjugate partner +N/2 on the lattice, so keeping them would
+    break the exact Hermitian symmetry of real-symbol quantizations.  For
+    resolved smooth coefficients these entries are at rounding level.
     """
     nz = np.argwhere(np.abs(coeff_shifted) != 0.0)
     half = grid.n // 2
     for idx in nz:
-        if not keep_nyquist and any(i == 0 for i in idx):
+        if any(i == 0 for i in idx):
             continue
         yield tuple(idx), tuple(int(i) - half for i in idx)
 
 
-def _apply_symbol(sym: TorusSymbol, ghat, cutoff: CutoffProfile | None, eval_at="weyl"):
+def _apply_symbol(sym: TorusSymbol, ghat, cutoff: CutoffProfile | None):
     """Core double-sum application; returns (out_hat, dropped_entries)."""
     grid = sym.grid
     n, d = grid.n, grid.dim
@@ -285,8 +283,7 @@ def _apply_symbol(sym: TorusSymbol, ghat, cutoff: CutoffProfile | None, eval_at=
             if src is None:
                 dropped += grid.size
                 continue
-            offs = [ma / 2.0 for ma in m] if eval_at == "weyl" else [0.0] * d
-            vals = term.xi(_open_mesh(ks, src, offs, d))
+            vals = term.xi(_open_mesh(ks, src, [ma / 2.0 for ma in m], d))
             if cutoff is not None:
                 vals = vals * cutoff.weight(float(np.linalg.norm(m)), _bracket_sum(ks, src, m, d))
             out[tgt] += cs[idx] * vals * gs[src]
@@ -328,22 +325,18 @@ def bony_weyl_quantize(sym: TorusSymbol, g: SpectralField, cutoff: CutoffProfile
     return SpectralField(g.grid, out)
 
 
-def banded_matrix(sym: TorusSymbol, cutoff: CutoffProfile | None = None, eval_at="weyl",
-                  wrap=False):
-    """Assemble the quantizer as a sparse matrix on FFT-order flat vectors.
+def banded_matrix(sym: TorusSymbol, cutoff: CutoffProfile | None = None):
+    """Assemble the (Bony-)Weyl quantizer as a sparse matrix on FFT-order flat vectors.
 
     Returns (csr_matrix, dropped_entries).  Entries vanish outside the band
     |j-k| <= 1.9 eps <j+k> when a cutoff is given (the chi profile underflows
-    to exact zeros there).  With wrap=True the operator is the circular
-    convolution (the exact matrix of a grid multiplication-times-multiplier
-    composition); solvers use this for the frozen multiplicative operators,
-    never for paradifferential quantizations.
+    to exact zeros there); contributions leaving the lattice are dropped,
+    never wrapped.  Multiplicative operators c(x) m(D) are not assembled
+    here: they are applied matrix-free (pairops.MultBlock).
     """
     grid = sym.grid
     if sym.table is not None:
         raise NotImplementedError("tabulated symbols are applied matrix-free")
-    if wrap and eval_at == "weyl":
-        raise ValueError("wrapped assembly is for input-frequency (multiplication) operators")
     n, d = grid.n, grid.dim
     ks = _shifted_axis_freqs(n)
     lin = np.fft.fftshift(np.arange(grid.size).reshape(grid.shape))
@@ -361,20 +354,12 @@ def banded_matrix(sym: TorusSymbol, cutoff: CutoffProfile | None = None, eval_at
             vals.append(diag.astype(complex))
             continue
         cs = np.fft.fftshift(term.coeff)
-        for cidx, m in _iter_coeff_modes(grid, cs, keep_nyquist=wrap):
-            if wrap:
-                v = np.broadcast_to(term.xi(_open_mesh(ks, full, [0.0] * d, d)),
-                                    grid.shape).astype(complex)
-                rows.append(np.roll(lin, tuple(-ma for ma in m), axis=tuple(range(d))).ravel())
-                cols.append(lin.ravel())
-                vals.append((cs[cidx] * v).ravel())
-                continue
+        for cidx, m in _iter_coeff_modes(grid, cs):
             src, tgt = _mode_slices(n, d, m)
             if src is None:
                 dropped += grid.size
                 continue
-            offs = [ma / 2.0 for ma in m] if eval_at == "weyl" else [0.0] * d
-            v = np.broadcast_to(term.xi(_open_mesh(ks, src, offs, d)),
+            v = np.broadcast_to(term.xi(_open_mesh(ks, src, [ma / 2.0 for ma in m], d)),
                                 tuple(s.stop - s.start for s in src)).astype(complex)
             if cutoff is not None:
                 w = cutoff.weight(float(np.linalg.norm(m)), _bracket_sum(ks, src, m, d))

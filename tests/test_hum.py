@@ -248,6 +248,19 @@ def test_perturbed_control_layer(background):
     assert "terminal_failure" not in rep.extras
 
 
+def test_control_op_P_raises_when_neumann_sweeps_run_out():
+    # two sweeps cannot reach a 1e-14 change on a frozen background: the
+    # error names the sweep count, the last change and the ||E|| estimate
+    rng = np.random.default_rng(80)
+    grid = TorusGrid(2, 8)
+    st = full_setup(grid, steps=8)
+    prob = HumProblem(st, NL, frozen=frozen_background(grid, st.timegrid, rng))
+    U_in = prob.filter_data(small_pair(grid, rng, amp=1e-2, kmax=1).u.coeffs)
+    with pytest.raises(HumError, match=r"not converged after 2 sweeps: relative change "
+                                       r"\S+ against tol 1\.0e-14, \|\|E\|\| estimate"):
+        prob.control_op_P(U_in, neumann_tol=1e-14, max_neumann=2)
+
+
 def test_observability_constant_full_observation():
     grid = TorusGrid(2, 16)
     T = 0.8

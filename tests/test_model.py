@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from torusctrl.evolve import _dealias_nonlinear
 from torusctrl.model import (CoefficientSet, Nonlinearity, assemble_A,
-                             assemble_frozen, compute_coefficients,
-                             frozen_linear_rhs, full_nonlinear_rhs,
-                             remainder_apply, remainder_pairop, s_matrix,
-                             structure_matrices)
-from torusctrl.paradiff import CutoffProfile
+                             assemble_frozen, assemble_frozen_from_coeffs,
+                             compute_coefficients, dealias_mask,
+                             frozen_linear_rhs, frozen_symbol_terms,
+                             full_nonlinear_rhs, remainder_apply,
+                             remainder_pairop, s_matrix, structure_matrices)
+from torusctrl.paradiff import CutoffProfile, materialize
 from torusctrl.pairops import conj_reflect
 from torusctrl.spectral import (PairState, SpectralField, TorusGrid,
                                 pair_scalar_product_H0, sobolev_norm)
@@ -259,6 +261,85 @@ def test_remainder_pairop_matches_apply():
     # R is a difference of O(1)-sized operators: compare at the frozen scale
     scale = np.max(np.abs(frozen_linear_rhs(U, W, NL).u.coeffs))
     assert np.max(np.abs(got - want)) < 1e-12 * (scale + 1e-30)
+
+
+def dense_frozen_reference(co, dealias):
+    """Dense (Z, C) of the frozen generator, entrywise: Z_jk = i sum c_hat(j-k) m(k)
+    over the w terms plus the free flow -i|k|^2, C likewise over the conj(w)
+    terms (the circular convolution matrix of each grid product); dealias
+    masks the rows of the coefficient terms."""
+    grid = co.grid
+    idx = np.array(list(np.ndindex(*grid.shape)))          # FFT-order multi-indices, flat order
+    diff = tuple((idx[:, None, a] - idx[None, :, a]) % grid.n for a in range(grid.dim))
+    kf = [grid.freq_1d[idx[:, a]].astype(float) for a in range(grid.dim)]
+    rows = dealias_mask(grid).ravel()[:, None] if dealias else 1.0
+
+    def block(terms):
+        M = sum(grid.coeffs_from_values(c)[diff] * xi(kf)[None, :] for c, xi in terms)
+        return 1j * rows * M
+
+    z_terms, c_terms = frozen_symbol_terms(co)
+    return block(z_terms) + np.diag(-1j * grid.abs2.ravel()), block(c_terms)
+
+
+def materialize_pair(op, grid):
+    """Dense (Z, C) of a real-linear PairOp from its action on e_k and i e_k."""
+    M1 = materialize(lambda w: op.apply(w.ravel()), grid)          # Z + C P
+    Mi = materialize(lambda w: op.apply(1j * w.ravel()), grid)     # i (Z - C P)
+    Z, CP = 0.5 * (M1 - 1j * Mi), 0.5 * (M1 + 1j * Mi)
+    return Z, CP[:, grid.reflect_perm_flat]
+
+
+def frozen_op(grid, rng, dealias, sign=1.0):
+    U = small_pair(grid, rng, amp=1e-2, modes=4)
+    co = compute_coefficients(U, NL)
+    L = assemble_frozen_from_coeffs(co)
+    return U, co, sign * (_dealias_nonlinear(L) if dealias else L)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dealias", [False, True])
+def test_matrix_free_frozen_matches_dense_reference(dim, dealias):
+    grid = TorusGrid(dim, 8)
+    _, co, op = frozen_op(grid, np.random.default_rng(44), dealias)
+    Z, C = materialize_pair(op, grid)
+    Zref, Cref = dense_frozen_reference(co, dealias)
+    scale = np.max(np.abs(Zref))
+    assert np.max(np.abs(Z - Zref)) <= 1e-14 * scale
+    assert np.max(np.abs(C - Cref)) <= 1e-14 * scale
+    # the sparse part is the free-flow diagonal: O(N^d) nonzeros
+    assert op.Z.nnz <= grid.size and op.C is None
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_matrix_free_pairing_transpose(dim, dealias, sign):
+    # 2 Re <L w, v> = 2 Re <w, L^T v> to rounding
+    rng = np.random.default_rng(45)
+    grid = TorusGrid(dim, 16)
+    _, _, op = frozen_op(grid, rng, dealias, sign)
+    opT = op.transpose_pairing()
+    for _ in range(3):
+        w = random_field(grid, rng).coeffs.ravel()
+        v = random_field(grid, rng).coeffs.ravel()
+        Lw = op.apply(w)
+        lhs = 2.0 * np.vdot(v, Lw).real
+        rhs = 2.0 * np.vdot(opT.apply(v), w).real
+        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(Lw) * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+def test_matrix_free_diagonal_is_materialized_diagonal(dealias):
+    rng = np.random.default_rng(46)
+    grid = TorusGrid(2, 8)
+    U, _, op = frozen_op(grid, rng, dealias)
+    # a sum of a sparse and a multiplication part, as the remainder R(U)
+    remainder = op + (-1j) * assemble_A(U, NL, CUT)
+    for L in (op, op.transpose_pairing(), (-0.5) * op, remainder):
+        Z, _ = materialize_pair(L, grid)
+        d = L.diagonal()
+        assert np.max(np.abs(d - np.diag(Z))) <= 1e-14 * np.max(np.abs(Z))
 
 
 def test_remainder_smoothing_frequency_sweep():
