@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (CoefficientSet, Nonlinearity, a_symbols, compute_coefficients,
-                    DEFAULT_PRUNE)
+from .model import CoefficientSet, Nonlinearity, assemble_A_from_coeffs, compute_coefficients
 from .pairops import PairOp
 from .paradiff import (CutoffProfile, SymbolTerm, TorusSymbol, banded_matrix,
-                       xi_abs2, xi_component, xi_const, _apply_symbol)
+                       bony_weyl_quantize, xi_abs2, xi_component, xi_const)
 from .spectral import PairState, SpectralField
 
 
@@ -42,14 +41,14 @@ class DiagonalizationMap:
         return PairState(SpectralField(g, self.inverse.apply(W.u.coeffs.ravel()).reshape(g.shape)))
 
 
-def _order_zero_pairop(grid, z_vals, c_vals, cutoff, prune):
+def _order_zero_pairop(grid, z_vals, c_vals, cutoff):
     """PairOp with Z = Op^BW(z(x)), C = Op^BW(c(x)) for order-0 symbols."""
     one = xi_const(grid.dim)
-    zsym = TorusSymbol(grid, [SymbolTerm(grid.coeffs_from_values(z_vals), one)]).prune(prune)
+    zsym = TorusSymbol(grid, [SymbolTerm(grid.coeffs_from_values(z_vals), one)])
     Z, _ = banded_matrix(zsym, cutoff)
     C = None
     if c_vals is not None and np.max(np.abs(c_vals)) > 0:
-        csym = TorusSymbol(grid, [SymbolTerm(grid.coeffs_from_values(c_vals), one)]).prune(prune)
+        csym = TorusSymbol(grid, [SymbolTerm(grid.coeffs_from_values(c_vals), one)])
         C, _ = banded_matrix(csym, cutoff)
     return PairOp(grid, Z, C)
 
@@ -72,7 +71,7 @@ def _estimate_norm(op: PairOp, rng, probes=4, iters=6):
 
 
 def build_phi(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile,
-              tail_tol=1e-10, max_depth=40, seed=0, prune=DEFAULT_PRUNE) -> DiagonalizationMap:
+              tail_tol=1e-10, max_depth=40, seed=0) -> DiagonalizationMap:
     """Construct Phi(U) and its Neumann-series inverse.
 
     Raises DiagonalizationError when the series does not contract (norm
@@ -80,8 +79,8 @@ def build_phi(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile,
     """
     grid = U.grid
     co = compute_coefficients(U, nl)
-    phi = _order_zero_pairop(grid, co.s1, -co.s2, cutoff, prune)       # Op^BW(S^{-1})
-    psi = _order_zero_pairop(grid, co.s1, co.s2, cutoff, prune)        # Op^BW(S)
+    phi = _order_zero_pairop(grid, co.s1, -co.s2, cutoff)       # Op^BW(S^{-1})
+    psi = _order_zero_pairop(grid, co.s1, co.s2, cutoff)        # Op^BW(S)
     Q = psi.compose(phi) - PairOp.identity(grid)
 
     rng = np.random.default_rng(seed)
@@ -110,21 +109,16 @@ def build_phi(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile,
                               near_identity=near)
 
 
-def _a_pairop(co: CoefficientSet, cutoff, prune=DEFAULT_PRUNE) -> PairOp:
-    from .model import assemble_A_from_coeffs
-    return assemble_A_from_coeffs(co, cutoff, prune)
-
-
-def _diag_target_pairop(co: CoefficientSet, cutoff, prune=DEFAULT_PRUNE) -> PairOp:
+def _diag_target_pairop(co: CoefficientSet, cutoff) -> PairOp:
     """-E Op^BW(diag(lam)|xi|^2) - Op^BW(diag(a1.xi)), first-row blocks."""
     grid = co.grid
     d = grid.dim
     lam_sym = TorusSymbol(grid, [
         SymbolTerm(grid.coeffs_from_values(co.lam), xi_abs2(d)),
-    ], order=2.0, is_real=True).prune(prune)
+    ], order=2.0, is_real=True)
     r_sym = TorusSymbol(grid, [
         SymbolTerm(grid.coeffs_from_values(co.a1[a]), xi_component(d, a)) for a in range(d)
-    ], order=1.0, is_real=True).prune(prune)
+    ], order=1.0, is_real=True)
     Mlam, _ = banded_matrix(lam_sym, cutoff)
     Mr, _ = banded_matrix(r_sym, cutoff)
     return PairOp(grid, -(Mlam + Mr))
@@ -142,7 +136,7 @@ def diagonal_defect(U: PairState, W: PairState, nl: Nonlinearity, cutoff: Cutoff
     co = compute_coefficients(U, nl)
     if phi is None:
         phi = build_phi(U, nl, cutoff)
-    iA = 1j * _a_pairop(co, cutoff)
+    iA = 1j * assemble_A_from_coeffs(co, cutoff)
     iD = 1j * _diag_target_pairop(co, cutoff)
     w = W.u.coeffs.ravel()
     conj_part = phi.forward.apply(iA.apply(phi.inverse.apply(w)))
@@ -154,7 +148,7 @@ def unconjugated_defect(U: PairState, W: PairState, nl: Nonlinearity,
                         cutoff: CutoffProfile) -> float:
     """H^0 pair norm of [A - diagonal model] W (the comparison curve)."""
     co = compute_coefficients(U, nl)
-    A = _a_pairop(co, cutoff)
+    A = assemble_A_from_coeffs(co, cutoff)
     D = _diag_target_pairop(co, cutoff)
     w = W.u.coeffs.ravel()
     return float(np.sqrt(2.0) * np.linalg.norm(A.apply(w) - D.apply(w)))
@@ -181,7 +175,7 @@ def modified_energy_norm(U: PairState, W: PairState, sigma: float, h: float,
         raise ValueError(f"h must be in (0,1], got {h}")
     co = compute_coefficients(U, nl)
     sym = weight_symbol(co, sigma, h)
-    out, _ = _apply_symbol(sym, W.u.coeffs, cutoff)
+    out = bony_weyl_quantize(sym, W.u, cutoff).coeffs
     quad = float(np.vdot(W.u.coeffs, out).real)
     scale = float(np.vdot(W.u.coeffs, W.u.coeffs).real)
     if quad < -1e-12 * max(scale, 1e-300):

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .model import (Nonlinearity, assemble_A_from_coeffs, assemble_frozen_from_coeffs,
-                    compute_coefficients, dealias_mask, DEFAULT_PRUNE)
+                    compute_coefficients, dealias_mask)
 from .pairops import DiagonalOp, PairOp
 from .paradiff import CutoffProfile
 from .spectral import PairState, SpectralField, TorusGrid
@@ -119,7 +119,7 @@ class FrozenProgram:
     """
 
     def __init__(self, frozen: Trajectory, nl: Nonlinearity, cutoff: CutoffProfile,
-                 kind="frozen_simplified", sign=1.0, adjoint=False, prune=DEFAULT_PRUNE,
+                 kind="frozen_simplified", sign=1.0, adjoint=False,
                  dealias=False):
         if kind not in ("frozen_simplified", "frozen_with_remainder"):
             raise ValueError(f"unknown frozen kind {kind!r}")
@@ -131,7 +131,6 @@ class FrozenProgram:
         self.kind = kind
         self.sign = float(sign)
         self.adjoint = adjoint
-        self.prune = prune
         self.dealias = dealias
         self.grid = frozen.grid
         self.tg = frozen.tg
@@ -156,7 +155,7 @@ class FrozenProgram:
             bg = self.frozen.mid_background(n)
             co = compute_coefficients(PairState(SpectralField(self.grid, bg)), self.nl)
             if self.kind == "frozen_simplified":
-                op = 1j * assemble_A_from_coeffs(co, self.cutoff, self.prune)
+                op = 1j * assemble_A_from_coeffs(co, self.cutoff)
             else:
                 op = assemble_frozen_from_coeffs(co)
                 if self.dealias:

@@ -143,29 +143,26 @@ def s_matrix(coeffs: CoefficientSet):
 # the paralinearized operator A(U)
 
 
-DEFAULT_PRUNE = 1e-14
-
-
-def a_symbols(coeffs: CoefficientSet, prune=DEFAULT_PRUNE):
+def a_symbols(coeffs: CoefficientSet):
     """Symbols (1+a2)|xi|^2, a1.xi and b2|xi|^2 of the operator A(U)."""
     grid = coeffs.grid
     d = grid.dim
     p = TorusSymbol(grid, [
         SymbolTerm(None, xi_abs2(d)),
         SymbolTerm(grid.coeffs_from_values(coeffs.a2), xi_abs2(d)),
-    ], order=2.0, is_real=True).prune(prune)
+    ], order=2.0, is_real=True)
     r = TorusSymbol(grid, [
         SymbolTerm(grid.coeffs_from_values(coeffs.a1[a]), xi_component(d, a))
         for a in range(d)
-    ], order=1.0, is_real=True).prune(prune)
+    ], order=1.0, is_real=True)
     q = TorusSymbol(grid, [
         SymbolTerm(grid.coeffs_from_values(coeffs.b2), xi_abs2(d)),
-    ], order=2.0).prune(prune)
+    ], order=2.0)
     return p, r, q
 
 
 def assemble_A(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile,
-               smallness_gate=1e-2, prune=DEFAULT_PRUNE) -> PairOp:
+               smallness_gate=1e-2) -> PairOp:
     """The operator A(U) = -(E Op^BW(A2|xi|^2) + Op^BW(diag(a1.xi))) as a PairOp.
 
     The stored blocks act on the first pair component:
@@ -173,13 +170,12 @@ def assemble_A(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile,
     """
     _warn_smallness(U, smallness_gate)
     coeffs = compute_coefficients(U, nl)
-    return assemble_A_from_coeffs(coeffs, cutoff, prune)
+    return assemble_A_from_coeffs(coeffs, cutoff)
 
 
-def assemble_A_from_coeffs(coeffs: CoefficientSet, cutoff: CutoffProfile,
-                           prune=DEFAULT_PRUNE) -> PairOp:
+def assemble_A_from_coeffs(coeffs: CoefficientSet, cutoff: CutoffProfile) -> PairOp:
     grid = coeffs.grid
-    p, r, q = a_symbols(coeffs, prune)
+    p, r, q = a_symbols(coeffs)
     Mp, _ = banded_matrix(p, cutoff)
     Mr, _ = banded_matrix(r, cutoff)
     Mq, _ = banded_matrix(q, cutoff)
@@ -315,9 +311,8 @@ def remainder_apply(U_frozen: PairState, W: PairState, nl: Nonlinearity,
     return PairState(SpectralField(grid, frozen.u.coeffs - iAw.reshape(grid.shape)))
 
 
-def remainder_pairop(coeffs: CoefficientSet, cutoff: CutoffProfile,
-                     prune=DEFAULT_PRUNE) -> PairOp:
+def remainder_pairop(coeffs: CoefficientSet, cutoff: CutoffProfile) -> PairOp:
     """R(U) as a PairOp (frozen minus i A)."""
     frozen = assemble_frozen_from_coeffs(coeffs)
-    A = assemble_A_from_coeffs(coeffs, cutoff, prune)
+    A = assemble_A_from_coeffs(coeffs, cutoff)
     return frozen + (-1j) * A

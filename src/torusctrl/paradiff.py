@@ -8,13 +8,21 @@ the half-integer dual grid.  Quantization follows
 
 with the x-transform normalized so that Op(1) is exactly the identity; the
 Bony-Weyl variant weights each entry by chi(|j-k| / (eps <j+k>)).
-Contributions whose output frequency j leaves the resolved lattice are
-dropped and counted, never wrapped.
+
+One kernel, banded_matrix, does all quantization.  The band (every (j, k)
+with chi != 0 and j - k off the Nyquist row), xi = (j+k)/2 and chi do not
+depend on the symbol, so they are computed once per (grid, cutoff) on first
+use and cached; a symbol's matrix is then one gather c_hat[j-k] P(xi) chi
+(or table[j-k, j+k] chi) over that pattern, and weyl_quantize and
+bony_weyl_quantize apply it.  Coefficient modes below 1e-14 of a term's
+largest are dropped.  Contributions whose output frequency j leaves the
+resolved lattice are dropped and counted, never wrapped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,9 +95,6 @@ class XiPoly:
 
     def scaled(self, c):
         return XiPoly(self.dim, {e: v * c for e, v in self.terms.items()})
-
-    def is_even(self):
-        return all(sum(e) % 2 == 0 for e in self.terms)
 
     def is_real(self):
         return all(abs(c.imag) == 0.0 for c in self.terms.values())
@@ -183,20 +188,6 @@ class TorusSymbol:
                     table[:, :, i, j] = np.fft.fftn(np.asarray(vals, dtype=complex)) / grid.size
         return cls(grid, [], order=order, table=table, is_real=is_real)
 
-    def prune(self, rel_tol):
-        """Drop coefficient modes below rel_tol * max|coeff| (per term)."""
-        terms = []
-        for t in self.terms:
-            if t.coeff is None:
-                terms.append(t)
-                continue
-            c = t.coeff.copy()
-            m = np.max(np.abs(c))
-            if m > 0:
-                c[np.abs(c) < rel_tol * m] = 0.0
-            terms.append(SymbolTerm(c, t.xi))
-        return TorusSymbol(self.grid, terms, self.order, self.table, self.is_real)
-
     def scaled(self, c):
         terms = [SymbolTerm(t.coeff, t.xi.scaled(c)) for t in self.terms]
         table = None if self.table is None else c * self.table
@@ -207,176 +198,129 @@ class TorusSymbol:
 # ---------------------------------------------------------------------------
 # quantizer kernel
 
-def _shifted_axis_freqs(n):
-    return np.arange(n) - n // 2  # ascending [-N/2, N/2)
+# per separable term, coefficient modes below this share of max|c_hat| are
+# zeroed before the gather; exact zeros never enter the matrix
+_PRUNE_REL = 1e-14
 
 
-def _mode_slices(n, dim, m):
-    """Source/target slice tuples for a frequency shift by integer vector m."""
-    src, tgt = [], []
-    for a in range(dim):
-        lo = max(0, -int(m[a]))
-        hi = min(n, n - int(m[a]))
-        if lo >= hi:
-            return None, None
-        src.append(slice(lo, hi))
-        tgt.append(slice(lo + int(m[a]), hi + int(m[a])))
-    return tuple(src), tuple(tgt)
+class _BandPattern:
+    """CSR structure of every (j, k) with j - k off the Nyquist row and chi != 0.
 
-
-def _open_mesh(ks, src, offsets, dim):
-    """Open (broadcastable) arrays ks[src_a] + offsets[a] per axis."""
-    out = []
-    for a in range(dim):
-        v = ks[src[a]].astype(float) + offsets[a]
-        sh = [1] * dim
-        sh[a] = v.size
-        out.append(v.reshape(sh))
-    return out
-
-
-def _bracket_sum(ks, src, m, dim):
-    """<j+k> = sqrt(1 + |2k+m|^2) on the source slice."""
-    s = 1.0
-    for a in range(dim):
-        v = 2.0 * ks[src[a]].astype(float) + m[a]
-        sh = [1] * dim
-        sh[a] = v.size
-        s = s + (v ** 2).reshape(sh)
-    return np.sqrt(s)
-
-
-def _iter_coeff_modes(grid, coeff_shifted):
-    """Yield (shifted index, integer mode m) of nonzero coefficient entries.
-
-    Modes with a component on the Nyquist row m_a = -N/2 are skipped: they
-    have no conjugate partner +N/2 on the lattice, so keeping them would
-    break the exact Hermitian symmetry of real-symbol quantizations.  For
-    resolved smooth coefficients these entries are at rounding level.
+    Rows j and columns k are FFT-order flat indices, sorted.  Per entry:
+    mode, the FFT-order flat index of m = j - k (|m_a| < N/2); pair, the
+    flat index of j + k + N on the doubled lattice [0, 2N)^d; xi = (j + k)/2
+    per axis; chi = chi(|j-k| / (eps <j+k>)), 1 for plain Weyl.  diag holds
+    the positions of the entries j = k; lost[m] = N^d - prod_a (N - |m_a|)
+    counts the contributions of mode m that leave the lattice (0 on the
+    Nyquist row, whose modes are never gathered).  The arrays are read-only.
     """
-    nz = np.argwhere(np.abs(coeff_shifted) != 0.0)
-    half = grid.n // 2
-    for idx in nz:
-        if any(i == 0 for i in idx):
-            continue
-        yield tuple(idx), tuple(int(i) - half for i in idx)
+
+    def __init__(self, dim, n, epsilon):
+        f = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+        j1, k1 = np.nonzero(np.abs(f[:, None] - f[None, :]) < n // 2)  # per-axis pairs
+        sel = np.indices((j1.size,) * dim).reshape(dim, -1)
+        jf = [f[j1[s]] for s in sel]
+        kf = [f[k1[s]] for s in sel]
+        if epsilon is None:
+            keep = slice(None)
+            chi = np.ones(sel.shape[1])
+        else:
+            m_norm = np.sqrt(sum((a - b).astype(float) ** 2 for a, b in zip(jf, kf)))
+            bracket = 1.0
+            for a, b in zip(jf, kf):
+                bracket = bracket + (a + b).astype(float) ** 2
+            chi = CutoffProfile.chi(m_norm / (epsilon * np.sqrt(bracket)))
+            keep = chi != 0.0
+            chi = chi[keep]
+        jf = [a[keep] for a in jf]
+        kf = [b[keep] for b in kf]
+        shape = (n,) * dim
+        row = np.ravel_multi_index([a % n for a in jf], shape)
+        col = np.ravel_multi_index([b % n for b in kf], shape)
+        order = np.lexsort((col, row))
+        self.indices = col[order].astype(np.int32)
+        self.indptr = np.searchsorted(row[order], np.arange(n ** dim + 1)).astype(np.int32)
+        self.mode = np.ravel_multi_index([(a - b)[order] % n for a, b in zip(jf, kf)], shape)
+        self.pair = np.ravel_multi_index([(a + b)[order] + n for a, b in zip(jf, kf)],
+                                         (2 * n,) * dim)
+        self.xi = tuple((a + b)[order] / 2.0 for a, b in zip(jf, kf))
+        self.chi = chi[order]
+        self.diag = np.flatnonzero(self.mode == 0)
+        fm = np.meshgrid(*[f] * dim, indexing="ij")
+        lost = n ** dim - np.prod([n - np.abs(a) for a in fm], axis=0)
+        lost[np.any([a == -(n // 2) for a in fm], axis=0)] = 0
+        self.lost = lost.ravel()
+        for a in (self.indices, self.indptr, self.mode, self.pair, self.chi, self.diag,
+                  self.lost) + self.xi:
+            a.flags.writeable = False
 
 
-def _apply_symbol(sym: TorusSymbol, ghat, cutoff: CutoffProfile | None):
-    """Core double-sum application; returns (out_hat, dropped_entries)."""
-    grid = sym.grid
-    n, d = grid.n, grid.dim
-    ks = _shifted_axis_freqs(n)
-    gs = np.fft.fftshift(ghat)
-    out = np.zeros_like(gs)
-    dropped = 0
-
-    for term in sym.terms:
-        if term.coeff is None:
-            # x-independent: pure Fourier multiplier (only j = k survives)
-            xi = _open_mesh(ks, tuple(slice(0, n) for _ in range(d)), [0.0] * d, d)
-            out += term.xi(xi) * gs
-            continue
-        cs = np.fft.fftshift(term.coeff)
-        for idx, m in _iter_coeff_modes(grid, cs):
-            src, tgt = _mode_slices(n, d, m)
-            if src is None:
-                dropped += grid.size
-                continue
-            vals = term.xi(_open_mesh(ks, src, [ma / 2.0 for ma in m], d))
-            if cutoff is not None:
-                vals = vals * cutoff.weight(float(np.linalg.norm(m)), _bracket_sum(ks, src, m, d))
-            out[tgt] += cs[idx] * vals * gs[src]
-            dropped += grid.size - int(np.prod([s.stop - s.start for s in src]))
-
-    if sym.table is not None:
-        half = n // 2
-        for idx in np.ndindex(*grid.shape):
-            m = tuple(int(grid.freq_1d[i]) for i in idx)  # table x-axis in FFT order
-            if any(ma == -half for ma in m):
-                continue
-            src, tgt = _mode_slices(n, d, m)
-            if src is None:
-                dropped += grid.size
-                continue
-            tab_ix = tuple(2 * np.arange(s.start, s.stop) - n + ma + n for s, ma in zip(src, m))
-            vals = sym.table[idx][np.ix_(*tab_ix)] if d > 1 else sym.table[idx][tab_ix[0]]
-            if np.count_nonzero(vals) == 0:
-                continue
-            if cutoff is not None:
-                vals = vals * cutoff.weight(float(np.linalg.norm(m)), _bracket_sum(ks, src, m, d))
-            out[tgt] += vals * gs[src]
-            dropped += grid.size - int(np.prod([s.stop - s.start for s in src]))
-
-    return np.fft.ifftshift(out), dropped
-
-
-def weyl_quantize(sym: TorusSymbol, g: SpectralField) -> SpectralField:
-    """Op^W(a) g, uncut Weyl quantization."""
-    out, dropped = _apply_symbol(sym, g.coeffs, None)
-    sym.truncated += dropped
-    return SpectralField(g.grid, out)
-
-
-def bony_weyl_quantize(sym: TorusSymbol, g: SpectralField, cutoff: CutoffProfile) -> SpectralField:
-    """Op^BW(a) g, Weyl quantization with the para cutoff."""
-    out, dropped = _apply_symbol(sym, g.coeffs, cutoff)
-    sym.truncated += dropped
-    return SpectralField(g.grid, out)
+@lru_cache(maxsize=None)
+def _band_pattern(dim, n, epsilon):
+    """The pattern of one (grid, cutoff), built on first use; epsilon None is plain Weyl."""
+    return _BandPattern(dim, n, epsilon)
 
 
 def banded_matrix(sym: TorusSymbol, cutoff: CutoffProfile | None = None):
     """Assemble the (Bony-)Weyl quantizer as a sparse matrix on FFT-order flat vectors.
 
-    Returns (csr_matrix, dropped_entries).  Entries vanish outside the band
-    |j-k| <= 1.9 eps <j+k> when a cutoff is given (the chi profile underflows
-    to exact zeros there); contributions leaving the lattice are dropped,
-    never wrapped.  Multiplicative operators c(x) m(D) are not assembled
-    here: they are applied matrix-free (pairops.MultBlock).
+    Returns (csr_matrix, dropped_entries).  The entries are a gather over
+    the cached band pattern of the grid and cutoff:
+
+        sum_t c_hat_t[j-k] P_t((j+k)/2) chi    (separable terms),
+        table[j-k, j+k] chi                    (the tabulated part),
+
+    and P_t(j) on the diagonal for the x-independent terms.  Per separable
+    term, coefficient modes below 1e-14 max|c_hat_t| are zeroed first;
+    entries to which no term contributes a nonzero stay out of the matrix.
+    With a cutoff the band is |j-k| < 1.9 eps <j+k> (chi vanishes exactly
+    beyond).  Contributions leaving the lattice are dropped, never wrapped,
+    and their number is returned and added to sym.truncated.  Every call
+    returns a matrix with its own index arrays.
     """
     grid = sym.grid
-    if sym.table is not None:
-        raise NotImplementedError("tabulated symbols are applied matrix-free")
-    n, d = grid.n, grid.dim
-    ks = _shifted_axis_freqs(n)
-    lin = np.fft.fftshift(np.arange(grid.size).reshape(grid.shape))
-    full = tuple(slice(0, n) for _ in range(d))
-    rows, cols, vals = [], [], []
+    pat = _band_pattern(grid.dim, grid.n, None if cutoff is None else cutoff.epsilon)
+    vals = np.zeros(pat.chi.size, dtype=complex)
+    keep = np.zeros(pat.chi.size, dtype=bool)
     dropped = 0
-
     for term in sym.terms:
         if term.coeff is None:
-            xi = _open_mesh(ks, full, [0.0] * d, d)
-            diag = np.broadcast_to(term.xi(xi), grid.shape).ravel()
-            idx = lin.ravel()
-            rows.append(idx)
-            cols.append(idx)
-            vals.append(diag.astype(complex))
+            vals[pat.diag] += term.xi(tuple(x[pat.diag] for x in pat.xi))
+            keep[pat.diag] = True
             continue
-        cs = np.fft.fftshift(term.coeff)
-        for cidx, m in _iter_coeff_modes(grid, cs):
-            src, tgt = _mode_slices(n, d, m)
-            if src is None:
-                dropped += grid.size
-                continue
-            v = np.broadcast_to(term.xi(_open_mesh(ks, src, [ma / 2.0 for ma in m], d)),
-                                tuple(s.stop - s.start for s in src)).astype(complex)
-            if cutoff is not None:
-                w = cutoff.weight(float(np.linalg.norm(m)), _bracket_sum(ks, src, m, d))
-                v = v * np.broadcast_to(w, v.shape)
-            keep = v.ravel() != 0.0
-            rows.append(lin[tgt].ravel()[keep])
-            cols.append(lin[src].ravel()[keep])
-            vals.append((cs[cidx] * v).ravel()[keep])
-            dropped += grid.size - int(np.prod([s.stop - s.start for s in src]))
-
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size), dtype=complex).tocsr()
+        c = term.coeff.ravel().copy()
+        c[np.abs(c) < _PRUNE_REL * np.max(np.abs(c))] = 0.0
+        dropped += int(pat.lost[c != 0.0].sum())
+        v = term.xi(pat.xi) * pat.chi
+        cm = c[pat.mode]
+        vals += cm * v
+        keep |= (cm != 0.0) & (v != 0.0)
+    if sym.table is not None:
+        tab = sym.table.reshape(grid.size, -1)
+        full = _band_pattern(grid.dim, grid.n, None)
+        hit = np.zeros(grid.size, dtype=bool)
+        hit[full.mode[tab[full.mode, full.pair] != 0.0]] = True
+        dropped += int(pat.lost[hit].sum())
+        v = tab[pat.mode, pat.pair]
+        vals += v * pat.chi
+        keep |= v != 0.0
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    M = sp.csr_matrix((vals[keep], pat.indices[keep], kept[pat.indptr]),
+                      shape=(grid.size, grid.size))
     sym.truncated += dropped
     return M, dropped
+
+
+def weyl_quantize(sym: TorusSymbol, g: SpectralField) -> SpectralField:
+    """Op^W(a) g, uncut Weyl quantization."""
+    M, _ = banded_matrix(sym)
+    return SpectralField(g.grid, (M @ g.coeffs.ravel()).reshape(g.grid.shape))
+
+
+def bony_weyl_quantize(sym: TorusSymbol, g: SpectralField, cutoff: CutoffProfile) -> SpectralField:
+    """Op^BW(a) g, Weyl quantization with the para cutoff."""
+    M, _ = banded_matrix(sym, cutoff)
+    return SpectralField(g.grid, (M @ g.coeffs.ravel()).reshape(g.grid.shape))
 
 
 def materialize(apply_fn, grid) -> np.ndarray:

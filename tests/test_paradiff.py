@@ -202,6 +202,101 @@ def test_sparse_matrix_matches_apply():
     assert np.max(np.abs(got - want)) < 1e-13 * (np.max(np.abs(want)) + 1e-30)
 
 
+def oracle_quantize_table(grid, table, ghat, eps=None):
+    """The literal double sum out_j = sum_k table[j-k, j+k] chi g_hat(k).
+
+    table has shape grid.shape + (2N,)*d: the x-frequency m = j - k in FFT
+    order (Nyquist row excluded, as for separable coefficients), then the
+    doubled lattice point j + k + N.
+    """
+    n, d = grid.n, grid.dim
+    half = n // 2
+    chi = CutoffProfile(eps).chi if eps is not None else None
+    modes = [tuple(v) for v in np.stack([f.ravel() for f in np.meshgrid(*[grid.freq_1d] * d,
+                                        indexing="ij")], axis=1)]
+    ghat_flat = ghat.ravel()
+    out = np.zeros(grid.size, dtype=complex)
+    for ji, j in enumerate(modes):
+        acc = 0.0
+        for ki, k in enumerate(modes):
+            m = tuple(a - b for a, b in zip(j, k))
+            if any(not (-half < c < half) for c in m):
+                continue
+            val = table[tuple(c % n for c in m) + tuple(a + b + n for a, b in zip(j, k))]
+            if chi is not None:
+                s = np.sqrt(1.0 + sum((a + b) ** 2 for a, b in zip(j, k)))
+                val = val * float(chi(np.linalg.norm(m) / (eps * s)))
+            acc += val * ghat_flat[ki]
+        out[ji] = acc
+    return out.reshape(grid.shape)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+def test_multi_term_symbol_against_per_term_oracle(dim, n):
+    # |xi|^2 + c(x)|xi|^2 + e(x) xi_0: the kernel's sum over terms against
+    # the literal double sum of each term, added afterwards
+    rng = np.random.default_rng(21)
+    grid = TorusGrid(dim, n)
+    c = random_field(grid, rng, scale=0.5)
+    e = random_field(grid, rng, scale=0.3)
+    sym = TorusSymbol(grid, [SymbolTerm(None, xi_abs2(dim)),
+                             SymbolTerm(c.coeffs, xi_abs2(dim)),
+                             SymbolTerm(e.coeffs, xi_component(dim, 0))])
+    g = random_field(grid, rng)
+    for eps in (None, 0.5, 0.25):
+        want = (oracle_quantize(grid, None, lambda v: sum(x ** 2 for x in v), g.coeffs, eps)
+                + oracle_quantize(grid, c.coeffs, lambda v: sum(x ** 2 for x in v), g.coeffs, eps)
+                + oracle_quantize(grid, e.coeffs, lambda v: v[0], g.coeffs, eps))
+        cutoff = None if eps is None else CutoffProfile(eps)
+        got = (weyl_quantize(sym, g) if eps is None else bony_weyl_quantize(sym, g, cutoff)).coeffs
+        M, _ = banded_matrix(sym, cutoff)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) < 1e-12 * scale
+        assert np.max(np.abs((M @ g.coeffs.ravel()).reshape(grid.shape) - want)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+def test_tabulated_symbol_against_table_oracle(dim, n):
+    rng = np.random.default_rng(22)
+    grid = TorusGrid(dim, n)
+    cv = 1.0 + 0.3 * random_field(grid, rng).values().real
+
+    def fn(xm, xi):
+        return (1.0 + cv * sum(x * x for x in xi)) ** 0.75 + 0.2j * cv * xi[0]
+
+    sym = TorusSymbol.tabulated(grid, fn, order=1.5)
+    g = random_field(grid, rng)
+    for eps in (None, 0.5, 0.25):
+        want = oracle_quantize_table(grid, sym.table, g.coeffs, eps)
+        cutoff = None if eps is None else CutoffProfile(eps)
+        got = (weyl_quantize(sym, g) if eps is None else bony_weyl_quantize(sym, g, cutoff)).coeffs
+        M, _ = banded_matrix(sym, cutoff)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) < 1e-12 * scale
+        assert np.max(np.abs((M @ g.coeffs.ravel()).reshape(grid.shape) - want)) < 1e-12 * scale
+
+
+def test_banded_matrix_survives_in_place_edits_of_a_result():
+    # scipy's in-place index rewrites on one returned matrix must not reach
+    # the next: every call builds its matrix afresh
+    rng = np.random.default_rng(23)
+    grid = TorusGrid(2, 8)
+    cut = CutoffProfile(0.5)
+    sym = TorusSymbol(grid, [SymbolTerm(random_field(grid, rng).coeffs, xi_abs2(2)),
+                             SymbolTerm(None, xi_const(2))])
+    M1, d1 = banded_matrix(sym, cut)
+    ref = M1.toarray()
+    M1.data[: M1.nnz // 2] = 0.0
+    M1.eliminate_zeros()
+    M1.indices[:] = M1.indices[::-1].copy()
+    M1.has_sorted_indices = False
+    M1.sort_indices()
+    M1.data[:] = 0.0
+    M2, d2 = banded_matrix(sym, cut)
+    assert d2 == d1
+    assert np.array_equal(M2.toarray(), ref)
+
+
 # ---------------------------------------------------------------------------
 # composition
 
