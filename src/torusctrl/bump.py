@@ -28,3 +28,10 @@ def plateau_profile(t, one_until, zero_from):
     if not zero_from > one_until:
         raise ValueError("zero_from must exceed one_until")
     return smooth_step((zero_from - np.asarray(t, dtype=float)) / (zero_from - one_until))
+
+
+def chi_plateau(T):
+    """chi_T(t) = chi_1(t/T): 1 for t <= T/2, 0 for t >= 3T/4, smooth."""
+    def chi(t):
+        return plateau_profile(np.asarray(t, dtype=float) / T, 0.5, 0.75)
+    return chi

@@ -51,10 +51,6 @@ class TimeGrid:
         return (self.t1 - self.t0) / self.steps
 
     @cached_property
-    def nodes(self):
-        return self.t0 + self.dt * np.arange(self.steps + 1)
-
-    @cached_property
     def midpoints(self):
         return self.t0 + self.dt * (np.arange(self.steps) + 0.5)
 

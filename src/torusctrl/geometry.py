@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bump import smooth_step
-from .spectral import SpectralField, TorusGrid
+from .bump import chi_plateau, smooth_step
+from .spectral import TorusGrid
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,16 +123,7 @@ def build_cutoffs(region: ControlRegion, grid: TorusGrid, T: float):
         one_minus = one_minus * (1.0 - smooth_step(s.depth_inside(xm) / region.r))
     phi = 1.0 - one_minus
     phi = np.clip(phi, 0.0, 1.0)
-
-    def chi(t):
-        return smooth_step((0.75 - np.asarray(t, dtype=float) / T) / 0.25)
-
-    return phi, chi
-
-
-def phi_field(region: ControlRegion, grid: TorusGrid) -> SpectralField:
-    phi, _ = build_cutoffs(region, grid, 1.0)
-    return SpectralField.from_values(grid, phi)
+    return phi, chi_plateau(T)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bump import plateau_profile
+from .bump import chi_plateau
 from .evolve import (FreeProgram, FrozenProgram, TimeGrid, Trajectory,
-                     evolve_linear, zero_trajectory)
+                     evolve_linear)
 from .model import Nonlinearity
 from .paradiff import CutoffProfile
 from .spectral import PairState, SpectralField, TorusGrid
@@ -28,13 +28,6 @@ class HumError(RuntimeError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-def chi_plateau(T):
-    """chi_T(t) = chi_1(t/T): 1 for t <= T/2, 0 for t >= 3T/4, smooth."""
-    def chi(t):
-        return plateau_profile(np.asarray(t, dtype=float) / T, 0.5, 0.75)
-    return chi
 
 
 @dataclass
@@ -104,6 +97,10 @@ class ControlSetup:
     def filter_mask(self):
         """Modes |k| <= gamma * N/2 (the discrete coercive subspace)."""
         return self.grid.abs2 <= (self.gamma * self.grid.n / 2.0) ** 2
+
+    def filter_data(self, x):
+        """x reshaped to the grid with the modes outside filter_mask zeroed."""
+        return np.where(self.filter_mask, np.asarray(x, dtype=complex).reshape(self.grid.shape), 0.0)
 
 
 @dataclass
@@ -250,7 +247,7 @@ class HumProblem:
     # -- inversion and control -----------------------------------------------
 
     def filter_data(self, x):
-        return np.where(self.setup.filter_mask, np.asarray(x, dtype=complex).reshape(self.grid.shape), 0.0)
+        return self.setup.filter_data(x)
 
     def hum_invert(self, U_in, x0=None, tol=None, report=None, prefilter=True):
         """CG on K v0 = U_in in the pair product, over all modes.

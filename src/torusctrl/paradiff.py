@@ -219,31 +219,25 @@ class _BandPattern:
         f = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
         j1, k1 = np.nonzero(np.abs(f[:, None] - f[None, :]) < n // 2)  # per-axis pairs
         sel = np.indices((j1.size,) * dim).reshape(dim, -1)
-        jf = [f[j1[s]] for s in sel]
-        kf = [f[k1[s]] for s in sel]
-        if epsilon is None:
-            keep = slice(None)
-            chi = np.ones(sel.shape[1])
-        else:
-            m_norm = np.sqrt(sum((a - b).astype(float) ** 2 for a, b in zip(jf, kf)))
-            bracket = 1.0
-            for a, b in zip(jf, kf):
-                bracket = bracket + (a + b).astype(float) ** 2
-            chi = CutoffProfile.chi(m_norm / (epsilon * np.sqrt(bracket)))
-            keep = chi != 0.0
-            chi = chi[keep]
-        jf = [a[keep] for a in jf]
-        kf = [b[keep] for b in kf]
         shape = (n,) * dim
-        row = np.ravel_multi_index([a % n for a in jf], shape)
-        col = np.ravel_multi_index([b % n for b in kf], shape)
+        row = np.ravel_multi_index([j1[s] for s in sel], shape)
+        col = np.ravel_multi_index([k1[s] for s in sel], shape)
+        j = [f[j1[s]] for s in sel]
+        k = [f[k1[s]] for s in sel]
+        chi = np.ones(row.size)
+        if epsilon is not None:
+            m_norm = np.sqrt(sum((a - b).astype(float) ** 2 for a, b in zip(j, k)))
+            bracket = np.sqrt(1.0 + sum((a + b).astype(float) ** 2 for a, b in zip(j, k)))
+            chi = CutoffProfile(epsilon).weight(m_norm, bracket)
         order = np.lexsort((col, row))
+        order = order[chi[order] != 0.0]
+        j = [a[order] for a in j]
+        k = [b[order] for b in k]
         self.indices = col[order].astype(np.int32)
         self.indptr = np.searchsorted(row[order], np.arange(n ** dim + 1)).astype(np.int32)
-        self.mode = np.ravel_multi_index([(a - b)[order] % n for a, b in zip(jf, kf)], shape)
-        self.pair = np.ravel_multi_index([(a + b)[order] + n for a, b in zip(jf, kf)],
-                                         (2 * n,) * dim)
-        self.xi = tuple((a + b)[order] / 2.0 for a, b in zip(jf, kf))
+        self.mode = np.ravel_multi_index([(a - b) % n for a, b in zip(j, k)], shape)
+        self.pair = np.ravel_multi_index([a + b + n for a, b in zip(j, k)], (2 * n,) * dim)
+        self.xi = tuple((a + b) / 2.0 for a, b in zip(j, k))
         self.chi = chi[order]
         self.diag = np.flatnonzero(self.mode == 0)
         fm = np.meshgrid(*[f] * dim, indexing="ij")

@@ -12,7 +12,7 @@ import numpy as np
 from .evolve import TimeGrid, Trajectory, evolve_nonlinear, zero_trajectory
 from .hum import ControlSetup, HumProblem, HumSolveReport, chi_plateau
 from .model import Nonlinearity
-from .spectral import PairState, SpectralField, TorusGrid, sobolev_norm
+from .spectral import SpectralField, sobolev_norm
 
 
 class ControlError(RuntimeError):
@@ -77,14 +77,6 @@ class NullControlResult:
     terminal_ratio: float     # nonlinear replay ||u(T)||_{H^s} / ||u_in||_{H^s}
 
 
-def _traj_diff_norm(a: Trajectory, b: Trajectory, s: float):
-    worst = 0.0
-    for x, y in zip(a.states, b.states):
-        f = SpectralField(a.grid, x - y)
-        worst = max(worst, np.sqrt(2.0) * sobolev_norm(f, s))
-    return worst
-
-
 def _mids_diff_norm(a, b, grid, s):
     worst = 0.0
     for x, y in zip(a, b):
@@ -122,7 +114,7 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
     tg = setup.timegrid
     cg_tol = min(setup.cg_tol, 0.1 * tol)
     inner = replace(setup, cg_tol=cg_tol, krylov_tol=min(setup.krylov_tol, 0.01 * cg_tol))
-    u_hat = HumProblem(setup, nl, sign=sign).filter_data(u_in.coeffs)
+    u_hat = setup.filter_data(u_in.coeffs)
     scale = max(np.sqrt(2.0) * sobolev_norm(SpectralField(grid, u_hat), s - 2), 1e-300)
 
     ledger = IterationLedger(s=s, rho_max=rho_max)
@@ -137,7 +129,7 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
         prob = HumProblem(inner, nl, frozen=frozen, sign=sign, dealias=dealias)
         F, rep = prob.control_op_P(u_hat)
         U_new = prob.controlled_solve(u_hat, F, with_remainder=True)
-        du = _traj_diff_norm(U_new, U_curr, s - 2)
+        du = _mids_diff_norm(U_new.states, U_curr.states, grid, s - 2)
         df = _mids_diff_norm(F, F_curr, grid, s - 2)
         ratio = du / prev_du if (prev_du is not None and prev_du > 0) else np.nan
         term = (np.sqrt(2.0) * sobolev_norm(U_new.terminal.u, 0.0)
@@ -222,8 +214,8 @@ def exact_control(u_in: SpectralField, u_end: SpectralField, nl: Nonlinearity,
             m = setup.steps - 1 - n
             F.append(float(chi_half(setup.T - tmid[n])) * bwd.F_mids[m])
 
-    u_in_f = HumProblem(setup, nl).filter_data(u_in.coeffs)
-    u_end_f = HumProblem(setup, nl).filter_data(u_end.coeffs)
+    u_in_f = setup.filter_data(u_in.coeffs)
+    u_end_f = setup.filter_data(u_end.coeffs)
     replay = evolve_nonlinear(grid, tg, nl, u_in_f,
                               control=(np.ones(setup.steps), setup.phi_values, F),
                               sign=1.0, dealias=null_kw.get("dealias", True),
