@@ -249,12 +249,17 @@ def frozen_symbol_terms(coeffs: CoefficientSet):
     Returns (z_terms, c_terms): lists of (coeff values, xi) acting on w and
     on conj(w) respectively, quantized at the input frequency (composition
     of multiplication and Fourier multipliers, not Weyl).  The free flow
-    Lap w = -|xi|^2 w is not among them.
+    Lap w = -|xi|^2 w is not among them.  The odd multipliers i xi_l vanish
+    on the Nyquist row, as in grid.derivative_coeffs.
     """
     grid = coeffs.grid
     d = grid.dim
     neg_abs2 = xi_abs2(d).scaled(-1.0)                    # Lap <-> -|xi|^2
-    i_comp = [xi_component(d, a).scaled(1j) for a in range(d)]  # d_l <-> i xi_l
+
+    def i_xi(a):                                          # d_l <-> i xi_l
+        return lambda xi: 1j * np.where(xi[a] == -(grid.n // 2), 0.0, xi[a])
+
+    i_comp = [i_xi(a) for a in range(d)]
     z_terms = [(coeffs.a2, neg_abs2), (coeffs.g2rho, xi_const(d))]
     z_terms += [(coeffs.e1[a], i_comp[a]) for a in range(d)]
     c_terms = [(coeffs.b2, neg_abs2)]

@@ -107,8 +107,14 @@ class TorusGrid:
         """Coefficients of the complex conjugate field: conj(u_hat(-j))."""
         return np.conj(self.reflect(coeffs))
 
+    @cached_property
+    def _derivative_multipliers(self):
+        # i k_a with the Nyquist row zeroed: it has no +N/2 partner, so only
+        # then does d_a commute with conjugation on the lattice
+        return tuple(1j * np.where(f == -(self.n // 2), 0, f) for f in self.freqs)
+
     def derivative_coeffs(self, coeffs, axis):
-        return 1j * self.freqs[axis] * coeffs
+        return self._derivative_multipliers[axis] * coeffs
 
     def laplacian_coeffs(self, coeffs):
         return -self.abs2 * coeffs

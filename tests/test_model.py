@@ -227,6 +227,27 @@ def test_frozen_consistency_identity(nl):
         assert sobolev_norm(lhs - rhs, 0.0) <= 1e-10 * max(scale, 1e-30)
 
 
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("nl", [NL, Nonlinearity(g1=(0.5, 0.2), g2=(1.0, -0.3))])
+def test_frozen_consistency_identity_broadband(nl, dealias, n):
+    # broadband twin of test_frozen_consistency_identity: every mode is
+    # populated, the Nyquist row included, so the identity needs d_l to
+    # commute with conjugation on the lattice
+    rng = np.random.default_rng(39)
+    grid = TorusGrid(2, n)
+    s0 = grid.dim / 2.0 + 2.5
+    for _ in range(3):
+        f = random_field(grid, rng)
+        U = PairState(f * (1e-2 / (np.sqrt(2.0) * sobolev_norm(f, s0))))
+        L = assemble_frozen(U, nl)
+        if dealias:
+            L = _dealias_nonlinear(L)
+        lhs = SpectralField(grid, L.apply(U.u.coeffs.ravel()).reshape(grid.shape))
+        rhs = full_nonlinear_rhs(U.u, nl, dealias=dealias)
+        assert sobolev_norm(lhs - rhs, 0.0) <= 1e-12 * sobolev_norm(rhs, 0.0)
+
+
 def test_frozen_zero_state_is_free_flow():
     grid = TorusGrid(2, 16)
     rng = np.random.default_rng(37)
