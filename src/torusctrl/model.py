@@ -246,11 +246,12 @@ def full_nonlinear_rhs(u: SpectralField, nl: Nonlinearity, F: SpectralField = No
 def frozen_symbol_terms(coeffs: CoefficientSet):
     """Multiplication-form terms of the frozen operator L(U) w (without the i).
 
-    Returns (z_terms, c_terms): lists of (coeff values, xi) acting on w and
-    on conj(w) respectively, quantized at the input frequency (composition
-    of multiplication and Fourier multipliers, not Weyl).  The free flow
-    Lap w = -|xi|^2 w is not among them.  The odd multipliers i xi_l vanish
-    on the Nyquist row, as in grid.derivative_coeffs.
+    Returns (z_terms, c_terms): lists of (coeff values, multiplier m(xi))
+    acting on w and on conj(w) respectively, quantized at the input
+    frequency (composition of multiplication and Fourier multipliers, not
+    Weyl).  The free flow Lap w = -|xi|^2 w is not among them.  The odd
+    multipliers i xi_l vanish on the Nyquist row, as in
+    grid.derivative_coeffs.
     """
     grid = coeffs.grid
     d = grid.dim
