@@ -212,7 +212,9 @@ class _BandPattern:
     per axis; chi = chi(|j-k| / (eps <j+k>)), 1 for plain Weyl.  diag holds
     the positions of the entries j = k; lost[m] = N^d - prod_a (N - |m_a|)
     counts the contributions of mode m that leave the lattice (0 on the
-    Nyquist row, whose modes are never gathered).  The arrays are read-only.
+    Nyquist row, whose modes are never gathered: m_a = -N/2 has no partner
+    +N/2 on the lattice, so gathering it would break the exact Hermitian
+    symmetry of real-symbol quantizations).  The arrays are read-only.
     """
 
     def __init__(self, dim, n, epsilon):
