@@ -102,7 +102,7 @@ class FrozenProgram:
 
     kind: "frozen_simplified" (i A(U), paradifferential) or
     "frozen_with_remainder" (i A(U) + R(U), the multiplicative frozen form).
-    sign -1 gives the time-reversed generator; adjoint=True the exact
+    sign -1 gives the time-reversed generator; adjoint_program() the exact
     pairing adjoint -L^T (PairOp.transpose_pairing of each step operator:
     the transposed CSR blocks of i A(U), the exact FFT transpose of the
     matrix-free multiplicative form; discrete duality is exact either way).
@@ -115,8 +115,7 @@ class FrozenProgram:
     """
 
     def __init__(self, frozen: Trajectory, nl: Nonlinearity, cutoff: CutoffProfile,
-                 kind="frozen_simplified", sign=1.0, adjoint=False,
-                 dealias=False):
+                 kind="frozen_simplified", sign=1.0, dealias=False):
         if kind not in ("frozen_simplified", "frozen_with_remainder"):
             raise ValueError(f"unknown frozen kind {kind!r}")
         if dealias and kind != "frozen_with_remainder":
@@ -126,17 +125,15 @@ class FrozenProgram:
         self.cutoff = cutoff
         self.kind = kind
         self.sign = float(sign)
-        self.adjoint = adjoint
         self.dealias = dealias
         self.grid = frozen.grid
         self.tg = frozen.tg
         self._cache = {}
-        self._base = None  # shared step ops when wrapping an existing program
+        self._base = None  # the forward program, when this is its adjoint
 
     def adjoint_program(self):
         other = FrozenProgram.__new__(FrozenProgram)
         other.__dict__.update(self.__dict__)
-        other.adjoint = not self.adjoint
         other._cache = {}
         other._base = self
         return other
@@ -158,8 +155,6 @@ class FrozenProgram:
                     op = _dealias_nonlinear(op)
             if self.sign != 1.0:
                 op = self.sign * op
-            if self.adjoint:
-                op = (-1.0) * op.transpose_pairing()
         self._cache[n] = op
         return op
 
@@ -167,15 +162,12 @@ class FrozenProgram:
 class FreeProgram:
     """Zero background: the generator is the exact diagonal multiplier."""
 
-    def __init__(self, grid: TorusGrid, tg: TimeGrid, sign=1.0, adjoint=False):
+    def __init__(self, grid: TorusGrid, tg: TimeGrid, sign=1.0):
         self.grid = grid
         self.tg = tg
         self.sign = float(sign)
         # i A(0) = -i |k|^2 multiplier; its pairing adjoint flow is itself
-        d = -1j * self.sign * grid.abs2.ravel()
-        if adjoint:
-            d = -np.conj(d)
-        self._op = DiagonalOp(grid, d)
+        self._op = DiagonalOp(grid, -1j * self.sign * grid.abs2.ravel())
 
     def adjoint_program(self):
         other = FreeProgram(self.grid, self.tg, self.sign)
@@ -244,38 +236,25 @@ def evolve_linear(program, init, direction="forward", source=None,
 
     source, when given, is a list of midpoint coefficient arrays G_n.
     Forward starts from U(t0)=init; backward starts from U(t1)=init and
-    fills the trajectory downward on the same grid.
+    fills the trajectory downward on the same grid: the forward step, dt -> -dt.
     """
     grid, tg = program.grid, program.tg
-    a = 0.5 * tg.dt
-    init = _as_coeffs(grid, init)
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"unknown direction {direction!r}")
+    forward = direction == "forward"
+    h = 0.5 * tg.dt if forward else -0.5 * tg.dt
     states = [None] * (tg.steps + 1)
     mids = [None] * tg.steps
-
-    if direction == "forward":
-        states[0] = init.copy()
-        for n in range(tg.steps):
-            op = program.step_op(n)
-            rhs = states[n].ravel()
-            if source is not None:
-                rhs = rhs + a * source[n].ravel()
-            x = _solve_shifted(op, a, rhs, krylov_tol)
-            _check_finite(x, f"at step {n}")
-            mids[n] = x.reshape(grid.shape)
-            states[n + 1] = (2.0 * x - states[n].ravel()).reshape(grid.shape)
-    elif direction == "backward":
-        states[tg.steps] = init.copy()
-        for n in range(tg.steps - 1, -1, -1):
-            op = program.step_op(n)
-            rhs = states[n + 1].ravel()
-            if source is not None:
-                rhs = rhs - a * source[n].ravel()
-            x = _solve_shifted(op, -a, rhs, krylov_tol)
-            _check_finite(x, f"at step {n}")
-            mids[n] = x.reshape(grid.shape)
-            states[n] = (2.0 * x - states[n + 1].ravel()).reshape(grid.shape)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    states[0 if forward else tg.steps] = _as_coeffs(grid, init).copy()
+    for n in (range(tg.steps) if forward else range(tg.steps - 1, -1, -1)):
+        src, dst = (n, n + 1) if forward else (n + 1, n)
+        rhs = states[src].ravel()
+        if source is not None:
+            rhs = rhs + h * source[n].ravel()
+        x = _solve_shifted(program.step_op(n), h, rhs, krylov_tol)
+        _check_finite(x, f"at step {n}")
+        mids[n] = x.reshape(grid.shape)
+        states[dst] = (2.0 * x - states[src].ravel()).reshape(grid.shape)
     return Trajectory(grid, tg, states, mids)
 
 
@@ -326,14 +305,18 @@ class NonlinearStepOps:
         return self.sign * L
 
 
+# Midpoint fixed-point passes per nonlinear step: on the picard-n16 replay the
+# midpoint defect is the same with 2, 3, 4, 6 or 10 passes (the step-solve floor).
+_NONLINEAR_PASSES = 2
+
+
 def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
-                     control=None, sign=1.0, dealias=True, passes=2,
+                     control=None, sign=1.0, dealias=True,
                      krylov_tol=1e-10, record_mass=False) -> Trajectory:
     """Implicit midpoint for the controlled nonlinear equation.
 
-    control, when given, is (chi_mid, phi_values, F_mids): chi samples at
-    the midpoints, the spatial cutoff on the grid, and midpoint control
-    coefficient arrays.  The source enters as -sign * i chi phi F.
+    control, when given, is (chi_mid, phi_values, F_mids) as control_sources
+    takes it.
     """
     a = 0.5 * tg.dt
     ops = NonlinearStepOps(grid, nl, sign=sign, dealias=dealias)
@@ -342,13 +325,13 @@ def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
     mids = []
     mass = [float(np.vdot(init, init).real)] if record_mass else None
 
-    sources = _control_sources(grid, tg, control, sign)
+    sources = None if control is None else control_sources(grid, control, sign)
     for n in range(tg.steps):
         rhs = states[n].ravel()
         if sources is not None:
             rhs = rhs + a * sources[n].ravel()
         x = states[n].ravel()
-        for _ in range(max(passes, 1)):
+        for _ in range(_NONLINEAR_PASSES):
             op = ops.at_state(x.reshape(grid.shape))
             x = _solve_shifted(op, a, rhs, krylov_tol)
         _check_finite(x, f"at step {n}")
@@ -360,21 +343,19 @@ def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
     return Trajectory(grid, tg, states, mids, diag)
 
 
-def _control_sources(grid, tg, control, sign):
-    if control is None:
-        return None
+def control_sources(grid, control, sign):
+    """Midpoint sources -sign * i chi phi F of the controlled equation.
+
+    control is (chi_mid, phi_values, F_mids): chi sampled at the midpoints,
+    the spatial cutoff on the grid, and the midpoint control coefficient
+    arrays.
+    """
     chi_mid, phi, F_mids = control
     out = []
-    for n in range(tg.steps):
-        f = F_mids[n]
-        if np.isscalar(chi_mid):
-            c = chi_mid
-        else:
-            c = chi_mid[n]
-        if c == 0.0 or f is None:
+    for c, f in zip(chi_mid, F_mids):
+        if c == 0.0:
             out.append(np.zeros(grid.shape, dtype=complex))
             continue
         fv = grid.values_from_coeffs(np.asarray(f, dtype=complex).reshape(grid.shape))
-        src = -sign * 1j * c * (phi if phi is not None else 1.0) * fv
-        out.append(grid.coeffs_from_values(src))
+        out.append(grid.coeffs_from_values(-sign * 1j * c * phi * fv))
     return out

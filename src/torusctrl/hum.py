@@ -6,6 +6,15 @@ The solution operator is the exact discrete pairing-adjoint flow of the
 forward generator (see evolve), so the duality identity, the symmetry and
 positivity of the Gramian, and the controlled-replay identities all hold to
 Krylov tolerance at every frozen background.
+
+One conjugate gradient (HumProblem._cg) serves every solve: the Gramian
+inversion of hum_invert and the inner P K P solves of observability_constant.
+
+The controlled simplified trajectory S_P Z0 (Z(0) = Z0, Z(T) = 0) is the
+backward solve with source -chi^2 phi^2 S v0, v0 = K^-1 Z0: exactly minus
+the range trajectory that hum_apply(v0) already computes.  The step solves
+are odd in their data, so perturbation_E applies R(U) to that trajectory and
+negates the result, which gives E Z0 with no second backward solve.
 """
 
 from __future__ import annotations
@@ -15,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bump import chi_plateau
-from .evolve import (FreeProgram, FrozenProgram, TimeGrid, Trajectory,
-                     evolve_linear)
+from .evolve import (FreeProgram, FrozenProgram, TimeGrid, Trajectory, _as_coeffs,
+                     control_sources, evolve_linear)
 from .model import Nonlinearity
 from .paradiff import CutoffProfile
-from .spectral import PairState, SpectralField, TorusGrid
+from .spectral import TorusGrid
 
 
 class HumError(RuntimeError):
@@ -80,6 +89,12 @@ class ControlSetup:
         if self.cg_max_iter is not None:
             return self.cg_max_iter
         return 8 * self.grid.size
+
+    @property
+    def nyquist_phase_step(self):
+        """dt (N/2)^2, reported with CG failures: the implicit midpoint rule
+        slows mode k to the group velocity 2|k| / (1 + (dt |k|^2 / 2)^2)."""
+        return self.T / self.steps * (self.grid.n / 2.0) ** 2
 
     @property
     def timegrid(self):
@@ -143,23 +158,22 @@ class HumProblem:
     def __init__(self, setup: ControlSetup, nl: Nonlinearity, frozen: Trajectory = None,
                  sign=1.0, dealias=False):
         self.setup = setup
-        self.nl = nl
         self.sign = float(sign)
         self.grid = setup.grid
         self.tg = setup.timegrid
         if frozen is not None and frozen.tg.steps != setup.steps:
             raise ValueError("frozen trajectory and setup use different time grids")
         self.frozen = frozen
+        self.cg_iterations = 0      # CG iterations of every solve on this problem
         if frozen is None or _is_zero(frozen):
             self.simp = FreeProgram(self.grid, self.tg, sign=self.sign)
-            self.rem = FreeProgram(self.grid, self.tg, sign=self.sign)
+            self.rem = self.simp
         else:
             self.simp = FrozenProgram(frozen, nl, setup.cutoff, kind="frozen_simplified",
                                       sign=self.sign)
             self.rem = FrozenProgram(frozen, nl, setup.cutoff, kind="frozen_with_remainder",
                                      sign=self.sign, dealias=dealias)
         self.adj = self.simp.adjoint_program()
-        self._phi2 = setup.phi_values ** 2
         self._chi = setup.chi_mid
 
     # -- elementary operators ------------------------------------------------
@@ -180,30 +194,12 @@ class HumProblem:
                              krylov_tol=self.setup.krylov_tol)
         return traj.initial, traj
 
-    def control_source(self, F_mids):
-        """Midpoint sources -sign * i chi phi F of the controlled system."""
-        out = []
-        for n in range(self.tg.steps):
-            c = self._chi[n]
-            f = F_mids[n]
-            if c == 0.0:
-                out.append(np.zeros(self.grid.shape, dtype=complex))
-            else:
-                out.append(-self.sign * 1j * c * self.mult_phi(f))
-        return out
-
-    def controlled_solve(self, U_in, F_mids, with_remainder=False,
-                         nonlinear=False, dealias=True) -> Trajectory:
+    def controlled_solve(self, U_in, F_mids, with_remainder=False) -> Trajectory:
         """Forward replay of the controlled system from U(0) = U_in."""
-        if nonlinear:
-            from .evolve import evolve_nonlinear
-            return evolve_nonlinear(self.grid, self.tg, self.nl, U_in,
-                                    control=(self._chi, self.setup.phi_values, F_mids),
-                                    sign=self.sign, dealias=dealias,
-                                    krylov_tol=self.setup.krylov_tol)
         prog = self.rem if with_remainder else self.simp
-        return evolve_linear(prog, U_in, source=self.control_source(F_mids),
-                             krylov_tol=self.setup.krylov_tol)
+        sources = control_sources(self.grid, (self._chi, self.setup.phi_values, F_mids),
+                                  self.sign)
+        return evolve_linear(prog, U_in, source=sources, krylov_tol=self.setup.krylov_tol)
 
     # -- Gramian -------------------------------------------------------------
 
@@ -237,7 +233,7 @@ class HumProblem:
         """Relative defect of -(R chi phi F, V(0)) = (chi phi F, S V(0))."""
         G = [self._chi[n] * self.mult_phi(F_mids[n]) for n in range(self.tg.steps)]
         u0, _ = self.range_op(G)
-        lhs = -_pair_inner(u0.u.coeffs.ravel(), _as_flat(self.grid, V0))
+        lhs = -_pair_inner(u0.u.coeffs.ravel(), _as_coeffs(self.grid, V0).ravel())
         sol = self.solution_op(V0)
         dt = self.tg.dt
         rhs = sum(dt * _pair_inner(G[n].ravel(), sol.midpoints[n].ravel())
@@ -249,35 +245,42 @@ class HumProblem:
     def filter_data(self, x):
         return self.setup.filter_data(x)
 
-    def hum_invert(self, U_in, x0=None, tol=None, report=None, prefilter=True):
-        """CG on K v0 = U_in in the pair product, over all modes.
+    def hum_invert(self, U_in, x0=None, prefilter=True):
+        """CG on K v0 = U_in in the pair product, over all modes (see _cg).
 
         Outer data is gamma-filtered per the coercive-subspace convention;
         the remainder-closure solves pass prefilter=False because their
         right-hand sides carry the small smooth out-of-ball component that
         the (Id+E) fixed point must match exactly.
-
-        Stops when the relative residual reaches tol (default
-        setup.cg_tol).  Raises HumError when the residual has stagnated --
-        its best value has not halved within the last N^d iterations (at
-        least 64) -- or, as a backstop, after setup.cg_budget iterations.
-        The error's message and report give the relative residual, its
-        gamma-filtered (in-ball) and out-of-ball parts and the Rayleigh
-        range of the search directions.
         """
-        st = self.setup
-        tol = st.cg_tol if tol is None else tol
-        b = _as_flat(self.grid, U_in).reshape(self.grid.shape)
+        b = _as_coeffs(self.grid, U_in)
         if prefilter:
             b = self.filter_data(b)
-        b = b.ravel()
-        rep = report if report is not None else HumSolveReport()
+        return self._cg(self.hum_apply, b, self.setup.cg_tol, x0)
+
+    def _cg(self, apply_fn, b, tol, x0=None):
+        """CG on apply_fn(x) = b in the pair product; returns (x, HumSolveReport).
+
+        apply_fn is K or P K P.  Stops when the recursive relative residual
+        reaches tol.  Raises HumError on a direction that is not positive,
+        when the residual has stagnated -- its best value has not halved
+        within the last N^d iterations (at least 64) -- or, as a backstop,
+        after setup.cg_budget iterations.  At exit b - apply_fn(x) is
+        computed once; extras["true_residual"] is its norm relative to b.
+        The error's message and report give the relative residual, its
+        gamma-filtered (in-ball) and out-of-ball parts, the true residual,
+        the Rayleigh range and setup.nyquist_phase_step.
+        """
+        st = self.setup
+        b = np.asarray(b, dtype=complex).ravel()
+        rep = HumSolveReport()
         bn = np.sqrt(_pair_inner(b, b))
         if bn == 0.0:
             rep.converged = True
+            rep.extras["true_residual"] = 0.0
             return np.zeros_like(b), rep
         x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=complex).ravel().copy()
-        r = b - self.hum_apply(x).ravel() if x0 is not None else b.copy()
+        r = b - apply_fn(x).ravel() if x0 is not None else b.copy()
         p = r.copy()
         rr = _pair_inner(r, r)
         # stagnation: the best residual not halved within half the real
@@ -285,15 +288,14 @@ class HumProblem:
         # the tier-1 Picard problems at N=16 halve it within 98 (window 256)
         window = max(64, self.grid.size)
         best = [np.sqrt(rr)]    # best residual norm so far, after 0, 1, 2, ... iterations
-        stalled = False
-        while np.sqrt(rr) > tol * bn and not stalled and len(best) <= st.cg_budget:
-            Kp = self.hum_apply(p).ravel()
+        why = None              # why CG stopped short of tol
+        while why is None and np.sqrt(rr) > tol * bn and len(best) <= st.cg_budget:
+            Kp = apply_fn(p).ravel()
             pKp = _pair_inner(Kp, p)
-            pp = _pair_inner(p, p)
             if pKp <= 0.0:
-                raise HumError(f"Gramian not positive on CG direction: {pKp:.3e} "
-                               f"(rayleigh_min so far {rep.rayleigh_min:.3e})", rep)
-            ray = pKp / pp
+                why = f"met a Gramian direction that is not positive ({pKp:.3e})"
+                break
+            ray = pKp / _pair_inner(p, p)
             rep.rayleigh_min = min(rep.rayleigh_min, ray)
             rep.rayleigh_max = max(rep.rayleigh_max, ray)
             alpha = rr / pKp
@@ -304,22 +306,28 @@ class HumProblem:
             rr = rr_new
             rep.iterations += 1
             best.append(min(best[-1], np.sqrt(rr)))
-            stalled = len(best) > window and best[-1] > 0.5 * best[-1 - window]
+            if len(best) > window and best[-1] > 0.5 * best[-1 - window]:
+                why = f"stagnated (best residual not halved in {window} iterations)"
+        self.cg_iterations += rep.iterations
         rep.converged = bool(np.sqrt(rr) <= tol * bn)
         rep.residual = float(np.sqrt(rr) / bn)
         r_in = self.filter_data(r)
         rep.extras["residual_in_ball"] = _pair_norm(r_in) / bn
         rep.extras["residual_out_of_ball"] = _pair_norm(r.reshape(self.grid.shape) - r_in) / bn
-        if not rep.converged:
-            why = (f"stagnated (best residual not halved in {window} iterations)" if stalled
-                   else f"reached the backstop of {st.cg_budget} iterations")
-            raise HumError(
-                f"CG {why} after {len(best) - 1} iterations: relative residual "
-                f"{rep.residual:.3e} against tol {tol:.1e} "
-                f"(in-ball {rep.extras['residual_in_ball']:.3e}, "
-                f"out-of-ball {rep.extras['residual_out_of_ball']:.3e}), "
-                f"Rayleigh range [{rep.rayleigh_min:.3e}, {rep.rayleigh_max:.3e}]", rep)
-        return x, rep
+        # with no iteration run, r is b - K x itself
+        r_true = b - apply_fn(x).ravel() if rep.iterations else r
+        rep.extras["true_residual"] = _pair_norm(r_true) / bn
+        if rep.converged:
+            return x, rep
+        why = why or f"reached the backstop of {st.cg_budget} iterations"
+        raise HumError(
+            f"CG {why} after {rep.iterations} iterations: relative residual "
+            f"{rep.residual:.3e} against tol {tol:.1e} "
+            f"(in-ball {rep.extras['residual_in_ball']:.3e}, "
+            f"out-of-ball {rep.extras['residual_out_of_ball']:.3e}, "
+            f"true {rep.extras['true_residual']:.3e}), "
+            f"Rayleigh range [{rep.rayleigh_min:.3e}, {rep.rayleigh_max:.3e}], "
+            f"dt*(N/2)^2 = {st.nyquist_phase_step:.3g}", rep)
 
     def control_from_v0(self, v0):
         """F(t) = sign * (-i) chi(t) phi S(K^-1 U_in)(t), midpoint samples."""
@@ -328,14 +336,14 @@ class HumProblem:
              for n in range(self.tg.steps)]
         return F
 
-    def control_op(self, U_in, x0=None, verify=True):
+    def control_op(self, U_in, verify=True):
         """Null control of the simplified system; returns (F_mids, v0, report)."""
-        v0, rep = self.hum_invert(U_in, x0=x0)
+        v0, rep = self.hum_invert(U_in)
         F = self.control_from_v0(v0)
         if verify:
             traj = self.controlled_solve(self.filter_data(U_in), F)
             tnorm = _pair_norm(traj.terminal.u.coeffs)
-            rep.terminal_norm = tnorm / max(_pair_norm(_as_flat(self.grid, U_in)), 1e-300)
+            rep.terminal_norm = tnorm / max(_pair_norm(_as_coeffs(self.grid, U_in)), 1e-300)
             if rep.terminal_norm > self.setup.tol_terminal:
                 rep.extras["terminal_failure"] = True
         return F, v0, rep
@@ -348,27 +356,21 @@ class HumProblem:
             return None
         return self.rem.step_op(n) + (-1.0) * self.simp.step_op(n)
 
-    def solution_op_P(self, Z0, x0=None):
-        """Controlled simplified trajectory hitting Z(0)=Z0, Z(T)=0."""
-        v0, rep = self.hum_invert(Z0, x0=x0, prefilter=False)
-        sol = self.solution_op(v0)
-        G = [-(self._chi[n] ** 2) * self.mult_phi(sol.midpoints[n], power=2)
-             for n in range(self.tg.steps)]
-        zero = np.zeros(self.grid.shape, dtype=complex)
-        traj = evolve_linear(self.simp, zero, direction="backward", source=G,
-                             krylov_tol=self.setup.krylov_tol)
-        return traj, v0, rep
-
     def perturbation_E(self, Z0, x0=None):
-        """E Z0 = R_P R(U) S_P Z0; returns (E Z0 coeffs, v0 warm start)."""
-        traj, v0, _ = self.solution_op_P(Z0, x0=x0)
+        """E Z0 = R_P R(U) S_P Z0; returns (E Z0 coeffs, v0 warm start).
+
+        S_P Z0 is minus the range trajectory of hum_apply(v0), v0 = K^-1 Z0
+        (module docstring); the minus is taken on the result.
+        """
+        v0, _ = self.hum_invert(Z0, x0=x0, prefilter=False)
+        _, _, traj = self.hum_apply(v0, return_trajectory=True)
         G = []
         for n in range(self.tg.steps):
             R = self.remainder_op(n)
             G.append(np.zeros(self.grid.shape, dtype=complex) if R is None
                      else R.apply(traj.midpoints[n].ravel()).reshape(self.grid.shape))
         u0, _ = self.range_op(G, with_remainder=True)
-        return u0.u.coeffs, v0
+        return -u0.u.coeffs, v0
 
     def control_op_P(self, U_in, neumann_tol=None, max_neumann=25):
         """Null control of the full paralinearized system: L_P = L (Id+E)^-1.
@@ -383,7 +385,7 @@ class HumProblem:
         sweeps end without reaching the tolerance.
         """
         st = self.setup
-        b = self.filter_data(U_in if not isinstance(U_in, PairState) else U_in.u.coeffs)
+        b = self.filter_data(_as_coeffs(self.grid, U_in))
         bn = _pair_norm(b.ravel())
         if bn == 0.0:
             zeroF = [np.zeros(self.grid.shape, dtype=complex) for _ in range(self.tg.steps)]
@@ -431,7 +433,9 @@ class HumProblem:
 
         Inverse power iteration driven by CG solves of P K P y = x; returns
         (c_min, worst_mode, report).  c_min below 1e-12 flags an
-        observability failure (expected when the region misses GCC).
+        observability failure (expected when the region misses GCC).  An
+        inner solve that does not reach inner_tol raises HumError (_cg), so
+        c_min never comes from unconverged solves.
         """
         st = self.setup
         rng = np.random.default_rng(seed)
@@ -446,7 +450,7 @@ class HumProblem:
         ray_prev = np.inf
         report = HumSolveReport()
         for _ in range(n_iter):
-            y = _cg_generic(PKP, x, tol=inner_tol, max_iter=st.cg_budget)
+            y, _ = self._cg(PKP, x, inner_tol)
             y = self.filter_data(y)
             y /= max(_pair_norm(y.ravel()), 1e-300)
             Ky = PKP(y)
@@ -465,40 +469,6 @@ class HumProblem:
         report.extras["worst_mode"] = worst_mode
         report.extras["observability_failure"] = bool(c_min < 1e-12)
         return c_min, worst_mode, report
-
-
-def _cg_generic(apply_fn, b, tol, max_iter):
-    """Plain CG in the pair product for symmetric PSD callables."""
-    b = np.asarray(b, dtype=complex)
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = _pair_inner(r.ravel(), r.ravel())
-    bn = np.sqrt(rr)
-    if bn == 0.0:
-        return x
-    for _ in range(max_iter):
-        if np.sqrt(rr) <= tol * bn:
-            break
-        Ap = apply_fn(p)
-        pAp = _pair_inner(Ap.ravel(), p.ravel())
-        if pAp <= 0.0:
-            break
-        alpha = rr / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rr_new = _pair_inner(r.ravel(), r.ravel())
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return x
-
-
-def _as_flat(grid, x):
-    if isinstance(x, PairState):
-        return x.u.coeffs.ravel()
-    if isinstance(x, SpectralField):
-        return x.coeffs.ravel()
-    return np.asarray(x, dtype=complex).ravel()
 
 
 def _pair_norm(x):

@@ -28,7 +28,7 @@ class IterationRecord:
     df_norm: float          # ||F^{n+1} - F^n|| likewise
     ratio: float            # du_norm(n) / du_norm(n-1)
     terminal_norm: float    # relative terminal norm of the frozen solve
-    cg_iterations: int
+    cg_iterations: int      # CG iterations of every solve in the round
 
     def row(self):
         return [self.n, self.du_norm, self.df_norm, self.ratio,
@@ -134,7 +134,7 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
         ratio = du / prev_du if (prev_du is not None and prev_du > 0) else np.nan
         term = (np.sqrt(2.0) * sobolev_norm(U_new.terminal.u, 0.0)
                 / max(np.sqrt(2.0) * sobolev_norm(SpectralField(grid, u_hat), 0.0), 1e-300))
-        ledger.add(IterationRecord(it, du, df, ratio, term, rep.iterations))
+        ledger.add(IterationRecord(it, du, df, ratio, term, prob.cg_iterations))
         U_curr, F_curr = U_new, F
         if du <= tol * scale:
             break

@@ -4,7 +4,7 @@ the remainder-perturbed layer, and the observability constant."""
 import numpy as np
 import pytest
 
-from torusctrl.evolve import TimeGrid, Trajectory, evolve_nonlinear
+from torusctrl.evolve import TimeGrid, Trajectory, evolve_linear, evolve_nonlinear
 from torusctrl.geometry import Strip, ControlRegion, build_cutoffs, TWO_PI
 from torusctrl.hum import (ControlSetup, HumError, HumProblem, HumSolveReport,
                            chi_plateau)
@@ -269,6 +269,108 @@ def test_observability_constant_full_observation():
     c_min, worst, rep = prob.observability_constant()
     assert abs(c_min - T) <= 1e-6 * T
     assert not rep.extras["observability_failure"]
+
+
+def _recording_hum_apply(prob):
+    """Shadow prob.hum_apply with a recorder; returns the list of applied vectors."""
+    seen = []
+
+    def record(v0, **kw):
+        seen.append(np.array(v0, dtype=complex))
+        return HumProblem.hum_apply(prob, v0, **kw)
+    prob.hum_apply = record
+    return seen
+
+
+def _relative_true_residual(prob, b, x):
+    """||b - K x|| / ||b||: the pair norm is a multiple of the Euclidean one."""
+    return np.linalg.norm(b.ravel() - HumProblem.hum_apply(prob, x).ravel()) / np.linalg.norm(b)
+
+
+def test_cg_true_residual_at_exit():
+    # the true residual b - K x is computed once at exit, on the converged
+    # solve and on the 5-iteration backstop; the last Gramian application
+    # of each solve is that of its returned iterate x
+    rng = np.random.default_rng(82)
+    grid = TorusGrid(2, 16)
+    for max_iter in (None, 5):
+        st = strip_setup(grid, steps=24, cg_tol=1e-9, cg_max_iter=max_iter)
+        prob = HumProblem(st, NL)
+        b = prob.filter_data(small_pair(grid, rng, amp=1e-2, kmax=2).u.coeffs)
+        seen = _recording_hum_apply(prob)
+        if max_iter is None:
+            x, rep = prob.hum_invert(b)
+            assert rep.converged and np.array_equal(seen[-1].ravel(), x)
+        else:
+            with pytest.raises(HumError) as err:
+                prob.hum_invert(b)
+            rep = err.value.report
+            assert f"true {rep.extras['true_residual']:.3e}" in str(err.value)
+        want = _relative_true_residual(prob, b, seen[-1])
+        assert abs(rep.extras["true_residual"] - want) <= 1e-12 * want
+
+
+def test_cg_errors_name_the_nyquist_phase_step():
+    # dt (N/2)^2 = (1/24) 8^2 = 2.67 on the N=16, 24-step, T=1 problem
+    rng = np.random.default_rng(79)
+    grid = TorusGrid(2, 16)
+    st = strip_setup(grid, steps=24, cg_tol=1e-9, cg_max_iter=5)
+    assert st.nyquist_phase_step == pytest.approx(64.0 / 24.0, rel=1e-15)
+    prob = HumProblem(st, NL)
+    U_in = prob.filter_data(small_pair(grid, rng, amp=1e-2, kmax=2).u.coeffs)
+    with pytest.raises(HumError, match=r"dt\*\(N/2\)\^2 = 2\.67"):
+        prob.hum_invert(U_in)
+
+
+def test_perturbation_E_matches_explicit_composition():
+    # E Z0 = R_P R(U) S_P Z0 with S_P Z0 the backward solve with source
+    # -chi^2 phi^2 S K^-1 Z0, composed here step by step
+    rng = np.random.default_rng(83)
+    grid = TorusGrid(2, 8)
+    st = strip_setup(grid, steps=8, cg_tol=1e-10, krylov_tol=1e-12)
+    prob = HumProblem(st, NL, frozen=frozen_background(grid, st.timegrid, rng))
+    Z0 = prob.filter_data(random_field(grid, rng).coeffs)
+    EZ, v0 = prob.perturbation_E(Z0)
+    v0_ref, _ = prob.hum_invert(Z0, prefilter=False)
+    sol = prob.solution_op(v0_ref)
+    chi = st.chi_mid
+    G = [-(chi[n] ** 2) * prob.mult_phi(sol.midpoints[n], power=2) for n in range(st.steps)]
+    zero = np.zeros(grid.shape, dtype=complex)
+    S_P = evolve_linear(prob.simp, zero, direction="backward", source=G,
+                        krylov_tol=st.krylov_tol)
+    RG = [prob.remainder_op(n).apply(S_P.midpoints[n].ravel()).reshape(grid.shape)
+          for n in range(st.steps)]
+    want, _ = prob.range_op(RG, with_remainder=True)
+    want = want.u.coeffs
+    assert np.array_equal(v0, v0_ref)
+    assert np.max(np.abs(EZ - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_controlled_solve_matches_free_nonlinear_replay(sign):
+    # g1 = g2 = 0: the nonlinear replay is the free linear flow, so both
+    # replays see the same control source -sign i chi phi F
+    rng = np.random.default_rng(84)
+    grid = TorusGrid(2, 8)
+    free = Nonlinearity(g1=(0.0,), g2=(0.0,))
+    st = strip_setup(grid, steps=12, krylov_tol=1e-13)
+    prob = HumProblem(st, free, sign=sign)
+    U_in = random_field(grid, rng).coeffs
+    F = [random_field(grid, rng).coeffs for _ in range(st.steps)]
+    lin = prob.controlled_solve(U_in, F)
+    nonlin = evolve_nonlinear(grid, st.timegrid, free, U_in,
+                              control=(st.chi_mid, st.phi_values, F), sign=sign,
+                              krylov_tol=st.krylov_tol)
+    got, want = np.array(lin.states), np.array(nonlin.states)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_observability_constant_raises_on_unconverged_inner_solve():
+    # two CG iterations cannot reach inner_tol: no c_min from such solves
+    grid = TorusGrid(2, 8)
+    st = strip_setup(grid, cg_max_iter=2)
+    with pytest.raises(HumError, match="backstop of 2 iterations"):
+        HumProblem(st, NL).observability_constant()
 
 
 def test_report_text_format():

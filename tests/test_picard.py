@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torusctrl.hum import ControlSetup
+from torusctrl.hum import ControlSetup, HumProblem
 from torusctrl.model import Nonlinearity
 from torusctrl.picard import (ControlError, IterationLedger, IterationRecord,
                               exact_control, null_control)
@@ -108,3 +108,22 @@ def test_exact_control_generic_pair():
             assert np.max(np.abs(f)) == 0.0
     assert res.terminal_error <= 2e-4
     assert max(res.junction_norms) <= 2 * st.tol_terminal
+
+
+def test_ledger_counts_every_cg_iteration_of_a_round(monkeypatch):
+    # each round builds one HumProblem; its ledger entry is the sum of the
+    # iterations of all the round's CG solves (Neumann sweeps and the final)
+    grid = TorusGrid(2, 8)
+    st = strip_setup(grid, steps=12, cg_tol=1e-9, tol_terminal=1e-4)
+    u0 = small_pair(grid, np.random.default_rng(81), amp=1e-2, kmax=1).u
+    per_round = {}
+    invert = HumProblem.hum_invert
+
+    def counted(self, *args, **kw):
+        x, rep = invert(self, *args, **kw)
+        per_round[self] = per_round.get(self, 0) + rep.iterations
+        return x, rep
+    monkeypatch.setattr(HumProblem, "hum_invert", counted)
+    res = null_control(u0, NL, st, max_iter=2, tol=1e-8, replay=False)
+    assert len(res.ledger.records) == 2
+    assert [r.cg_iterations for r in res.ledger.records] == list(per_round.values())
