@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .model import (Nonlinearity, assemble_A_from_coeffs, assemble_frozen_from_coeffs,
@@ -108,10 +107,11 @@ class FrozenProgram:
     matrix-free multiplicative form; discrete duality is exact either way).
 
     dealias (frozen_with_remainder only; default off) row-filters the
-    nonlinear part of each step operator by the 2/3 mask, exactly as
-    NonlinearStepOps.at_state does, so that the operator frozen at U and
-    applied to U is the dealiased nonlinear right-hand side.  Off, it
-    reproduces the undealiased one (model.frozen_linear_rhs).
+    nonlinear part of each step operator by the 2/3 mask; the step operator
+    is then the generator that evolve_nonlinear integrates (both come from
+    _frozen_generator), so that the operator frozen at U and applied to U is
+    the dealiased nonlinear right-hand side.  Off, it reproduces the
+    undealiased one (model.frozen_linear_rhs).
     """
 
     def __init__(self, frozen: Trajectory, nl: Nonlinearity, cutoff: CutoffProfile,
@@ -144,15 +144,13 @@ class FrozenProgram:
         if self._base is not None:
             base = self._base.step_op(n)
             op = (-1.0) * base.transpose_pairing()
+        elif self.kind == "frozen_with_remainder":
+            op = _frozen_generator(self.grid, self.nl, self.frozen.mid_background(n),
+                                   self.sign, self.dealias)
         else:
             bg = self.frozen.mid_background(n)
             co = compute_coefficients(PairState(SpectralField(self.grid, bg)), self.nl)
-            if self.kind == "frozen_simplified":
-                op = 1j * assemble_A_from_coeffs(co, self.cutoff)
-            else:
-                op = assemble_frozen_from_coeffs(co)
-                if self.dealias:
-                    op = _dealias_nonlinear(op)
+            op = 1j * assemble_A_from_coeffs(co, self.cutoff)
             if self.sign != 1.0:
                 op = self.sign * op
         self._cache[n] = op
@@ -271,42 +269,39 @@ def _as_coeffs(grid, init):
 
 
 def _dealias_nonlinear(L: PairOp) -> PairOp:
-    """free + M (L - free): the nonlinear part of the frozen generator L
-    (L minus the free flow -i|k|^2) row-filtered by the 2/3 mask M.
+    """L with its multiplication part row-filtered by the 2/3 mask M.
 
-    Row-filtering the frozen generator equals filtering the nonlinear term
-    of the RHS, so L frozen at U and applied to U gives the dealiased
-    nonlinear right-hand side.
+    Valid for an L from model.assemble_frozen_from_coeffs, whose sparse part
+    is the free flow -i|k|^2 and nothing else: the result is then
+    free + M (L - free), the nonlinear part of L filtered.  Row-filtering
+    the frozen generator equals filtering the nonlinear term of the RHS, so
+    L frozen at U and applied to U gives the dealiased nonlinear right-hand
+    side.
     """
-    grid = L.grid
-    free = PairOp(grid, sp.diags(-1j * grid.abs2.ravel().astype(complex)))
-    return free + (L - free).row_scaled(dealias_mask(grid).astype(float))
+    mask = dealias_mask(L.grid).astype(float)
+    return PairOp(L.grid, L.Z, L.C, [b.scaled(mask) for b in L.mult])
 
 
-class NonlinearStepOps:
-    """Frozen-at-state generator for the nonlinear midpoint passes.
+def _frozen_generator(grid, nl, coeffs, sign, dealias):
+    """sign * (the frozen-with-remainder generator at the state coeffs).
 
-    When dealiasing, the multiplicative terms are row-filtered by the 2/3
-    mask (_dealias_nonlinear), so the midpoint fixed point solves the
-    dealiased nonlinear equation exactly.
+    The one builder of that generator: FrozenProgram's step operators and
+    the passes of evolve_nonlinear both come from here, so the Picard
+    rounds solve exactly the equation that the replay integrates.  With
+    dealias on, the nonlinear part is 2/3-filtered (_dealias_nonlinear).
     """
-
-    def __init__(self, grid, nl, sign=1.0, dealias=True):
-        self.grid = grid
-        self.nl = nl
-        self.sign = float(sign)
-        self.dealias = dealias
-
-    def at_state(self, coeffs):
-        co = compute_coefficients(PairState(SpectralField(self.grid, coeffs)), self.nl)
-        L = assemble_frozen_from_coeffs(co)
-        if self.dealias:
-            L = _dealias_nonlinear(L)
-        return self.sign * L
+    co = compute_coefficients(PairState(SpectralField(grid, coeffs)), nl)
+    op = assemble_frozen_from_coeffs(co)
+    if dealias:
+        op = _dealias_nonlinear(op)
+    return op if sign == 1.0 else sign * op
 
 
-# Midpoint fixed-point passes per nonlinear step: on the picard-n16 replay the
-# midpoint defect is the same with 2, 3, 4, 6 or 10 passes (the step-solve floor).
+# Midpoint fixed-point passes per nonlinear step.  Two passes reach the
+# step-solve floor at datum amplitude 1e-2 only: they leave a replay - frozen
+# gap of 8.1e-7 at amplitude 1e-1 and 1.9e-4 at 4e-1, where more passes reach
+# 1e-12 and 2e-10 (ROADMAP item 2, which replaces this budget by a
+# convergence test).  A third pass costs the N=32 replay about 45%.
 _NONLINEAR_PASSES = 2
 
 
@@ -319,7 +314,6 @@ def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
     takes it.
     """
     a = 0.5 * tg.dt
-    ops = NonlinearStepOps(grid, nl, sign=sign, dealias=dealias)
     init = _as_coeffs(grid, init)
     states = [init.copy()]
     mids = []
@@ -332,7 +326,7 @@ def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
             rhs = rhs + a * sources[n].ravel()
         x = states[n].ravel()
         for _ in range(_NONLINEAR_PASSES):
-            op = ops.at_state(x.reshape(grid.shape))
+            op = _frozen_generator(grid, nl, x.reshape(grid.shape), sign, dealias)
             x = _solve_shifted(op, a, rhs, krylov_tol)
         _check_finite(x, f"at step {n}")
         mids.append(x.reshape(grid.shape))

@@ -1,8 +1,7 @@
 """Control regions, smooth spatial/temporal cutoffs, and the geometric
 control condition checker (sampled rays on the flat torus).
 
-Region coordinates in configuration are in units of 2*pi; internally
-everything is in radians on [0, 2*pi)^d.
+Coordinates are in radians on [0, 2*pi)^d.
 """
 
 from __future__ import annotations
@@ -84,24 +83,6 @@ class ControlRegion:
         for s in self.shapes:
             widths.append(s.width if isinstance(s, Strip) else 2.0 * s.radius)
         return min(widths)
-
-    @classmethod
-    def from_config(cls, spec):
-        """Shapes from config records with coordinates in units of 2*pi."""
-        shapes = []
-        for rec in spec["shapes"]:
-            kind = rec["type"]
-            if kind == "strip":
-                c = float(rec["center"]) * TWO_PI
-                hw = float(rec["half_width"]) * TWO_PI
-                shapes.append(Strip(int(rec["axis"]), c - hw, c + hw))
-            elif kind == "ball":
-                center = tuple(float(v) * TWO_PI for v in rec["center"])
-                shapes.append(Ball(center, float(rec["radius"]) * TWO_PI))
-            else:
-                raise GeometryError(f"unknown shape type {kind!r}")
-        r = float(spec.get("mollify_radius", 0.05)) * TWO_PI
-        return cls(tuple(shapes), r)
 
 
 def build_cutoffs(region: ControlRegion, grid: TorusGrid, T: float):

@@ -433,7 +433,12 @@ class HumProblem:
 
         Inverse power iteration driven by CG solves of P K P y = x; returns
         (c_min, worst_mode, report).  c_min below 1e-12 flags an
-        observability failure (expected when the region misses GCC).  An
+        observability failure of the discrete problem.  Missing GCC does
+        not make one: on a flat torus Schroedinger is observable from any
+        open set (Jaffard, Portugal. Math. 47, 1990), and c_min levels off
+        in N for one strip (1.4e-4) and a ball (1.2e-8), neither of which
+        satisfies check_gcc.  GCC is the paper's hypothesis for the
+        quasi-linear argument, not a condition for this constant.  An
         inner solve that does not reach inner_tol raises HumError (_cg), so
         c_min never comes from unconverged solves.
         """

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -161,14 +162,13 @@ def a_symbols(coeffs: CoefficientSet):
     return p, r, q
 
 
-def assemble_A(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile,
-               smallness_gate=1e-2) -> PairOp:
+def assemble_A(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile) -> PairOp:
     """The operator A(U) = -(E Op^BW(A2|xi|^2) + Op^BW(diag(a1.xi))) as a PairOp.
 
     The stored blocks act on the first pair component:
         (A W)_1 = -Op(p) w - Op(r) w - Op(q) cr(w).
     """
-    _warn_smallness(U, smallness_gate)
+    _warn_smallness(U)
     coeffs = compute_coefficients(U, nl)
     return assemble_A_from_coeffs(coeffs, cutoff)
 
@@ -182,14 +182,16 @@ def assemble_A_from_coeffs(coeffs: CoefficientSet, cutoff: CutoffProfile) -> Pai
     return PairOp(grid, -(Mp + Mr), -Mq)
 
 
-def _warn_smallness(U: PairState, gate):
-    if gate is None:
-        return
+# pair-||U||_{H^{d/2+2.5}} above which freezing at U warns
+_SMALLNESS_GATE = 1e-2
+
+
+def _warn_smallness(U: PairState):
     s0 = U.grid.dim / 2.0 + 2.5
     nrm = pair_sobolev_norm(U, s0)
-    if nrm > gate * (1.0 + 1e-9):
-        warnings.warn(f"frozen state above smallness gate: ||U||_H^{s0} = {nrm:.3e} > {gate:.1e}",
-                      stacklevel=3)
+    if nrm > _SMALLNESS_GATE * (1.0 + 1e-9):
+        warnings.warn(f"frozen state above smallness gate: ||U||_H^{s0} = {nrm:.3e} "
+                      f"> {_SMALLNESS_GATE:.1e}", stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +270,20 @@ def frozen_symbol_terms(coeffs: CoefficientSet):
     return z_terms, c_terms
 
 
-def assemble_frozen(U: PairState, nl: Nonlinearity, smallness_gate=1e-2) -> PairOp:
+def assemble_frozen(U: PairState, nl: Nonlinearity) -> PairOp:
     """The frozen linear generator: frozen_rhs(U, W) = i L(U) W as a PairOp.
 
     This equals i A(U) + R(U) by construction of the remainder.
     """
-    _warn_smallness(U, smallness_gate)
+    _warn_smallness(U)
     return assemble_frozen_from_coeffs(compute_coefficients(U, nl))
 
 
 def assemble_frozen_from_coeffs(coeffs: CoefficientSet) -> PairOp:
     """i L(U) as a matrix-free PairOp.
 
-    The free flow -i|k|^2 is the sparse part (a CSR diagonal); the
+    The free flow -i|k|^2 is the sparse part, and nothing else is (a CSR
+    diagonal shared by every assembly on the grid, see _free_flow); the
     coefficient terms c(x) m(D) form one multiplication block, applied as
     i F[sum c F^-1(m w)] by FFTs, so the operator costs O(N^d) memory.
     """
@@ -292,26 +295,36 @@ def assemble_frozen_from_coeffs(coeffs: CoefficientSet) -> PairOp:
                       np.stack([c for c, _ in terms]),
                       np.stack([np.broadcast_to(m(xi), grid.shape) for _, m in terms]),
                       len(z_terms))
+    return PairOp(grid, _free_flow(grid), mult=(block,))
+
+
+@cache
+def _free_flow(grid: TorusGrid):
+    """The free flow -i|k|^2 as a CSR diagonal, built once per grid.
+
+    Its arrays are read-only: every frozen generator on the grid shares them.
+    """
     free = sp.diags(-1j * grid.abs2.ravel().astype(complex), format="csr")
-    return PairOp(grid, free, mult=(block,))
+    for a in (free.data, free.indices, free.indptr):
+        a.flags.writeable = False
+    return free
 
 
-def frozen_linear_rhs(U_frozen: PairState, W: PairState, nl: Nonlinearity,
-                      smallness_gate=1e-2) -> PairState:
+def frozen_linear_rhs(U_frozen: PairState, W: PairState, nl: Nonlinearity) -> PairState:
     """Linear-in-W frozen RHS, the apply of assemble_frozen(U_frozen).
 
     frozen_linear_rhs(U, U) == full_nonlinear_rhs(u) (undealiased).
     """
-    L = assemble_frozen(U_frozen, nl, smallness_gate)
+    L = assemble_frozen(U_frozen, nl)
     grid = U_frozen.grid
     return PairState(SpectralField(grid, L.apply(W.u.coeffs.ravel()).reshape(grid.shape)))
 
 
 def remainder_apply(U_frozen: PairState, W: PairState, nl: Nonlinearity,
-                    cutoff: CutoffProfile, smallness_gate=1e-2) -> PairState:
+                    cutoff: CutoffProfile) -> PairState:
     """R(U) W = frozen_linear_rhs(U, W) - i A(U) W."""
-    frozen = frozen_linear_rhs(U_frozen, W, nl, smallness_gate)
-    A = assemble_A(U_frozen, nl, cutoff, smallness_gate=None)
+    frozen = frozen_linear_rhs(U_frozen, W, nl)
+    A = assemble_A_from_coeffs(compute_coefficients(U_frozen, nl), cutoff)
     iAw = 1j * A.apply(W.u.coeffs.ravel())
     grid = U_frozen.grid
     return PairState(SpectralField(grid, frozen.u.coeffs - iAw.reshape(grid.shape)))

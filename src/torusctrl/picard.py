@@ -30,18 +30,10 @@ class IterationRecord:
     terminal_norm: float    # relative terminal norm of the frozen solve
     cg_iterations: int      # CG iterations of every solve in the round
 
-    def row(self):
-        return [self.n, self.du_norm, self.df_norm, self.ratio,
-                self.terminal_norm, self.cg_iterations]
-
 
 @dataclass
 class IterationLedger:
-    s: float
-    rho_max: float = 0.9
     records: list = field(default_factory=list)
-
-    HEADER = ["iteration", "du_norm", "df_norm", "ratio", "terminal_norm", "cg_iterations"]
 
     def add(self, rec: IterationRecord):
         self.records.append(rec)
@@ -49,21 +41,6 @@ class IterationLedger:
     @property
     def ratios(self):
         return [r.ratio for r in self.records if np.isfinite(r.ratio)]
-
-    @property
-    def geometric_decay(self):
-        tail = [r.ratio for r in self.records[2:] if np.isfinite(r.ratio)]
-        if not tail:
-            return False
-        return all(r <= self.rho_max for r in tail)
-
-    def to_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.HEADER)
-            for rec in self.records:
-                w.writerow(rec.row())
 
 
 @dataclass
@@ -85,7 +62,7 @@ def _mids_diff_norm(a, b, grid, s):
 
 
 def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
-                 max_iter=12, tol=1e-9, sign=1.0, s=None, rho_max=0.9,
+                 max_iter=12, tol=1e-9, sign=1.0, s=None,
                  replay=True, dealias=True):
     """Picard iteration for nonlinear null control.
 
@@ -117,7 +94,7 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
     u_hat = setup.filter_data(u_in.coeffs)
     scale = max(np.sqrt(2.0) * sobolev_norm(SpectralField(grid, u_hat), s - 2), 1e-300)
 
-    ledger = IterationLedger(s=s, rho_max=rho_max)
+    ledger = IterationLedger()
     U_curr = zero_trajectory(grid, tg)
     F_curr = [np.zeros(grid.shape, dtype=complex) for _ in range(tg.steps)]
     prev_du = None

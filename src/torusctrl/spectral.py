@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -249,42 +248,3 @@ def lp_band_of(grid: TorusGrid, k) -> int:
     """Band index of a single dual lattice point under the bracket rule."""
     br = float(np.sqrt(1.0 + np.sum(np.asarray(k, dtype=float) ** 2)))
     return int(np.floor(np.log2(br) + 1e-12))
-
-
-# ---------------------------------------------------------------------------
-# Field dump format: raw little-endian interleaved (re, im) float64 pairs in
-# row-major order over the dual lattice sorted ascending in [-N/2, N/2), plus
-# a sidecar text manifest.
-
-_MANIFEST_SUFFIX = ".manifest.txt"
-
-
-def write_field_dump(field: SpectralField, path) -> None:
-    path = Path(path)
-    grid = field.grid
-    shifted = np.fft.fftshift(field.coeffs)
-    path.write_bytes(np.ascontiguousarray(shifted).astype("<c16").tobytes())
-    manifest = "\n".join(
-        [
-            f"dim={grid.dim}",
-            f"n={grid.n}",
-            "layout=row-major",
-            "convention=freq:[-N/2,N/2)",
-            "dtype=float64-interleaved-re-im",
-        ]
-    )
-    Path(str(path) + _MANIFEST_SUFFIX).write_text(manifest + "\n")
-
-
-def read_field_dump(path) -> SpectralField:
-    path = Path(path)
-    manifest = {}
-    for line in Path(str(path) + _MANIFEST_SUFFIX).read_text().splitlines():
-        if "=" in line:
-            key, val = line.split("=", 1)
-            manifest[key.strip()] = val.strip()
-    if manifest.get("convention") != "freq:[-N/2,N/2)":
-        raise ValueError(f"unsupported dump convention {manifest.get('convention')!r}")
-    grid = TorusGrid(int(manifest["dim"]), int(manifest["n"]))
-    raw = np.frombuffer(path.read_bytes(), dtype="<c16").reshape(grid.shape)
-    return SpectralField(grid, np.fft.ifftshift(raw).astype(complex))

@@ -3,12 +3,15 @@ adjoint-pairing exactness, reversibility, and convergence order."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from torusctrl.diagonalize import modified_energy_norm
 from torusctrl.evolve import (FreeProgram, FrozenProgram, TimeGrid, Trajectory,
                               evolve_linear, evolve_nonlinear, reverse_time,
                               zero_trajectory)
-from torusctrl.model import Nonlinearity, full_nonlinear_rhs
+from torusctrl.model import (Nonlinearity, assemble_frozen_from_coeffs,
+                             compute_coefficients, dealias_mask, full_nonlinear_rhs)
+from torusctrl.pairops import PairOp
 from torusctrl.paradiff import CutoffProfile
 from torusctrl.spectral import (PairState, SpectralField, TorusGrid,
                                 pair_scalar_product_H0, sobolev_norm)
@@ -238,3 +241,24 @@ def test_dealiased_frozen_program_matches_dealiased_rhs(nl):
         assert errs[True] <= 1e-12 * scale
         # the data alias: the undealiased operator misses the identity
         assert errs[False] > 1e-10 * scale
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dealiased_step_op_is_the_explicit_formula(sign):
+    # the dealiased frozen-with-remainder step operator, bit for bit, is
+    # sign * (free + M (L - free)): L the frozen generator at the midpoint
+    # background, free the flow -i|k|^2 and M the 2/3 row mask
+    rng = np.random.default_rng(70)
+    grid = TorusGrid(2, 8)
+    tg = TimeGrid(0.0, 0.1, 4)
+    traj = evolve_nonlinear(grid, tg, NL, small_pair(grid, rng, amp=1e-2, modes=4).u)
+    prog = FrozenProgram(traj, NL, CutoffProfile(), kind="frozen_with_remainder",
+                         sign=sign, dealias=True)
+    free = PairOp(grid, sp.diags(-1j * grid.abs2.ravel().astype(complex)))
+    mask = dealias_mask(grid).astype(float)
+    for n in range(tg.steps):
+        bg = PairState(SpectralField(grid, traj.mid_background(n)))
+        L = assemble_frozen_from_coeffs(compute_coefficients(bg, NL))
+        want = sign * (free + (L - free).row_scaled(mask))
+        w = random_field(grid, rng).coeffs.ravel()
+        assert np.array_equal(prog.step_op(n).apply(w), want.apply(w))

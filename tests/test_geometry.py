@@ -140,17 +140,3 @@ def test_ball_region_marching():
     # a ball misses rays along lines avoiding it
     assert not rep.satisfied
     assert verify_witness(region, rep.witness, L_max=rep.L_max)
-
-
-def test_region_from_config():
-    region = ControlRegion.from_config({
-        "shapes": [
-            {"type": "strip", "axis": 0, "center": 0.25, "half_width": 0.125},
-            {"type": "ball", "center": [0.5, 0.5], "radius": 0.1},
-        ],
-        "mollify_radius": 0.02,
-    })
-    assert isinstance(region.shapes[0], Strip)
-    assert isinstance(region.shapes[1], Ball)
-    assert abs(region.shapes[0].width - 0.25 * TWO_PI) < 1e-12
-    assert abs(region.r - 0.02 * TWO_PI) < 1e-12

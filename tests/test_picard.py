@@ -5,8 +5,7 @@ import pytest
 
 from torusctrl.hum import ControlSetup, HumProblem
 from torusctrl.model import Nonlinearity
-from torusctrl.picard import (ControlError, IterationLedger, IterationRecord,
-                              exact_control, null_control)
+from torusctrl.picard import ControlError, exact_control, null_control
 from torusctrl.spectral import SpectralField, TorusGrid, sobolev_norm
 
 from test_hum import strip_setup
@@ -55,19 +54,6 @@ def test_null_control_quasilinear_converges():
     for f in res.F_mids[:: max(st.steps // 4, 1)]:
         vals = grid.values_from_coeffs(f)
         assert np.max(np.abs(vals[dead])) <= 1e-13 * max(np.max(np.abs(vals)), 1e-300)
-
-
-def test_ledger_csv(tmp_path):
-    led = IterationLedger(s=3.5)
-    led.add(IterationRecord(1, 1.0, 0.5, np.nan, 1e-8, 12))
-    led.add(IterationRecord(2, 0.1, 0.05, 0.1, 1e-9, 4))
-    led.add(IterationRecord(3, 0.01, 0.005, 0.1, 1e-9, 3))
-    path = tmp_path / "ledger.csv"
-    led.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",") == IterationLedger.HEADER
-    assert len(lines) == 4
-    assert led.geometric_decay
 
 
 def test_exact_control_zero_data():

@@ -5,8 +5,7 @@ import pytest
 
 from torusctrl.spectral import (PairState, SpectralField, TorusGrid, lp_band_of,
                                 littlewood_paley_project, pair_scalar_product_H0,
-                                read_field_dump, semiclassical_norm, sobolev_norm,
-                                write_field_dump)
+                                semiclassical_norm, sobolev_norm)
 
 
 def random_field(grid, rng, scale=1.0):
@@ -165,17 +164,3 @@ def test_pair_state_conjugate_component():
     U = PairState(f)
     cc = U.conj_component()
     assert np.max(np.abs(cc.values() - np.conj(f.values()))) < 1e-12
-
-
-def test_field_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    for dim, n in [(1, 16), (2, 16)]:
-        grid = TorusGrid(dim, n)
-        f = random_field(grid, rng)
-        p = tmp_path / f"field_{dim}d.bin"
-        write_field_dump(f, p)
-        g = read_field_dump(p)
-        assert g.grid == grid
-        assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
-    manifest = (tmp_path / "field_2d.bin.manifest.txt").read_text()
-    assert "freq:[-N/2,N/2)" in manifest
