@@ -197,30 +197,46 @@ def _solve_shifted(op, a, b, krylov_tol, max_fixed=8, gmres_maxiter=300):
             return x
         x = x + r / denom
 
-    # preconditioned fixed point stalled: fall back to GMRES on the
-    # realified system (the operator is only real-linear)
+    # preconditioned fixed point stalled: fall back to GMRES
+    x, _, r = _gmres_real(lambda z: z - a * op.apply(z), lambda z: z / denom, b, krylov_tol,
+                          50 * gmres_maxiter, x0=x)
+    if r > 10 * krylov_tol:
+        raise EvolveError(f"Krylov step solve failed: residual={r * bn:.3e}")
+    return x
+
+
+def _gmres_real(apply, precondition, b, tol, max_iter, x0=None):
+    """GMRES on apply(x) = b != 0 for a real-linear apply, realified: x -> [Re x, Im x].
+
+    precondition approximates apply's inverse (scipy applies it on the left).
+    Stops when the true residual, tested after each restart cycle of 50
+    iterations, falls to tol relative to b, or after the cycles that hold
+    max_iter iterations.  Returns (x, iterations, that relative residual).
+    """
     n = b.size
+    last = {}
 
-    def mv(v):
-        z = v[:n] + 1j * v[n:]
-        w = z - a * op.apply(z)
-        return np.concatenate([w.real, w.imag])
-
-    def pc(v):
-        z = (v[:n] + 1j * v[n:]) / denom
+    def real(z):
         return np.concatenate([z.real, z.imag])
 
-    A = spla.LinearOperator((2 * n, 2 * n), matvec=mv, dtype=float)
-    M = spla.LinearOperator((2 * n, 2 * n), matvec=pc, dtype=float)
-    rhs = np.concatenate([b.real, b.imag])
-    x0 = np.concatenate([x.real, x.imag])
-    sol, info = spla.gmres(A, rhs, x0=x0, M=M, rtol=krylov_tol, atol=0.0,
-                           restart=50, maxiter=gmres_maxiter)
+    def realified(f):
+        return spla.LinearOperator((2 * n, 2 * n), dtype=float,
+                                   matvec=lambda v: real(f(v[:n] + 1j * v[n:])))
+
+    def recorded(z):
+        last["x"], last["Ax"] = z, apply(z)
+        return last["Ax"]
+
+    iterations = []
+    restart = min(50, max_iter)
+    sol, _ = spla.gmres(realified(recorded), real(b), x0=None if x0 is None else real(x0),
+                        M=realified(precondition), rtol=tol, atol=0.0, restart=restart,
+                        maxiter=-(-max_iter // restart), callback=iterations.append,
+                        callback_type="pr_norm")
     x = sol[:n] + 1j * sol[n:]
-    r = np.linalg.norm(b - (x - a * op.apply(x)))
-    if info != 0 and r > 10 * krylov_tol * bn:
-        raise EvolveError(f"Krylov step solve failed: info={info}, residual={r:.3e}")
-    return x
+    # scipy's last application is the residual test of the iterate it returns
+    Ax = last["Ax"] if np.array_equal(last.get("x"), x) else apply(x)
+    return x, len(iterations), np.linalg.norm(b - Ax) / np.linalg.norm(b)
 
 
 def _check_finite(x, where):

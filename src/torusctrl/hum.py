@@ -7,25 +7,30 @@ forward generator (see evolve), so the duality identity, the symmetry and
 positivity of the Gramian, and the controlled-replay identities all hold to
 Krylov tolerance at every frozen background.
 
-One conjugate gradient (HumProblem._cg) serves every solve: the Gramian
-inversion of hum_invert and the inner P K P solves of observability_constant.
+One conjugate gradient (HumProblem._cg) serves the Gramian inversion of
+hum_invert and the inner P K P solves of observability_constant.  The
+remainder-perturbed control (control_op_P) is one GMRES solve of
+(K + E K) v0 = U_in, preconditioned by the closed-form zero-background
+Gramian K0 (free_gramian).
 
 The controlled simplified trajectory S_P Z0 (Z(0) = Z0, Z(T) = 0) is the
 backward solve with source -chi^2 phi^2 S v0, v0 = K^-1 Z0: exactly minus
 the range trajectory that hum_apply(v0) already computes.  The step solves
 are odd in their data, so perturbation_E applies R(U) to that trajectory and
-negates the result, which gives E Z0 with no second backward solve.
+negates the result, which gives E K v0 with no second backward solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .bump import chi_plateau
 from .evolve import (FreeProgram, FrozenProgram, TimeGrid, Trajectory, _as_coeffs,
-                     control_sources, evolve_linear)
+                     _gmres_real, control_sources, evolve_linear)
 from .model import Nonlinearity
 from .paradiff import CutoffProfile
 from .spectral import TorusGrid
@@ -44,14 +49,14 @@ class ControlSetup:
     """Horizon, cutoffs, frequency filter and solver knobs for one problem.
 
     cg_tol is the relative pair-norm residual at which the Gramian CG
-    (hum_invert) stops; the (Id+E) Neumann sweep stops at 10 cg_tol.
+    (hum_invert) and the (K + E K) GMRES of control_op_P stop.
     krylov_tol is the relative residual of every implicit-midpoint step
     solve.  A caller with a tighter outer target may tighten both
     (picard.null_control does), never loosen them.  cg_max_iter is only a
-    backstop against runaway solves: CG stops on convergence or on measured
-    stagnation long before it.  None (the default) sets it to four times
-    the real dimension 2 N^d, within which CG would terminate in exact
-    arithmetic (cg_budget).
+    backstop against runaway solves, CG's and GMRES's: they stop on
+    convergence (CG also on measured stagnation) long before it.  None (the
+    default) sets it to four times the real dimension 2 N^d, within which CG
+    would terminate in exact arithmetic (cg_budget).
     """
 
     grid: TorusGrid
@@ -85,14 +90,14 @@ class ControlSetup:
 
     @property
     def cg_budget(self):
-        """The backstop on CG iterations: cg_max_iter, or 8 N^d when None."""
+        """The backstop on Krylov iterations: cg_max_iter, or 8 N^d when None."""
         if self.cg_max_iter is not None:
             return self.cg_max_iter
         return 8 * self.grid.size
 
     @property
     def nyquist_phase_step(self):
-        """dt (N/2)^2, reported with CG failures: the implicit midpoint rule
+        """dt (N/2)^2, reported with Krylov failures: the implicit midpoint rule
         slows mode k to the group velocity 2|k| / (1 + (dt |k|^2 / 2)^2)."""
         return self.T / self.steps * (self.grid.n / 2.0) ** 2
 
@@ -164,7 +169,7 @@ class HumProblem:
         if frozen is not None and frozen.tg.steps != setup.steps:
             raise ValueError("frozen trajectory and setup use different time grids")
         self.frozen = frozen
-        self.cg_iterations = 0      # CG iterations of every solve on this problem
+        self.cg_iterations = 0      # Krylov iterations of every solve on this problem
         if frozen is None or _is_zero(frozen):
             self.simp = FreeProgram(self.grid, self.tg, sign=self.sign)
             self.rem = self.simp
@@ -245,20 +250,12 @@ class HumProblem:
     def filter_data(self, x):
         return self.setup.filter_data(x)
 
-    def hum_invert(self, U_in, x0=None, prefilter=True):
-        """CG on K v0 = U_in in the pair product, over all modes (see _cg).
+    def hum_invert(self, U_in):
+        """CG on K v0 = U_in in the pair product (see _cg), U_in gamma-filtered."""
+        return self._cg(self.hum_apply, self.filter_data(_as_coeffs(self.grid, U_in)),
+                        self.setup.cg_tol)
 
-        Outer data is gamma-filtered per the coercive-subspace convention;
-        the remainder-closure solves pass prefilter=False because their
-        right-hand sides carry the small smooth out-of-ball component that
-        the (Id+E) fixed point must match exactly.
-        """
-        b = _as_coeffs(self.grid, U_in)
-        if prefilter:
-            b = self.filter_data(b)
-        return self._cg(self.hum_apply, b, self.setup.cg_tol, x0)
-
-    def _cg(self, apply_fn, b, tol, x0=None):
+    def _cg(self, apply_fn, b, tol):
         """CG on apply_fn(x) = b in the pair product; returns (x, HumSolveReport).
 
         apply_fn is K or P K P.  Stops when the recursive relative residual
@@ -279,8 +276,8 @@ class HumProblem:
             rep.converged = True
             rep.extras["true_residual"] = 0.0
             return np.zeros_like(b), rep
-        x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=complex).ravel().copy()
-        r = b - apply_fn(x).ravel() if x0 is not None else b.copy()
+        x = np.zeros_like(b)
+        r = b.copy()
         p = r.copy()
         rr = _pair_inner(r, r)
         # stagnation: the best residual not halved within half the real
@@ -350,39 +347,54 @@ class HumProblem:
 
     # -- remainder-perturbed layer --------------------------------------------
 
-    def remainder_op(self, n):
-        """R(U(t_n)) = (frozen with remainder) - (simplified) at midpoint n."""
-        if isinstance(self.simp, FreeProgram):
-            return None
-        return self.rem.step_op(n) + (-1.0) * self.simp.step_op(n)
+    def perturbation_E(self, v0):
+        """(E K v0, K v0) from one hum_apply(v0), E = R_P R(U) S_P.
 
-    def perturbation_E(self, Z0, x0=None):
-        """E Z0 = R_P R(U) S_P Z0; returns (E Z0 coeffs, v0 warm start).
-
-        S_P Z0 is minus the range trajectory of hum_apply(v0), v0 = K^-1 Z0
-        (module docstring); the minus is taken on the result.
+        S_P K v0 is minus the range trajectory of hum_apply(v0) (module
+        docstring); the minus is taken on the result.  R(U) at midpoint n is
+        (frozen with remainder) - (simplified), applied as the difference of
+        the two programs' step operators, which they build once; E = 0 at
+        the zero background.
         """
-        v0, _ = self.hum_invert(Z0, x0=x0, prefilter=False)
-        _, _, traj = self.hum_apply(v0, return_trajectory=True)
+        Kv, _, traj = self.hum_apply(v0, return_trajectory=True)
+        if isinstance(self.simp, FreeProgram):
+            return np.zeros_like(Kv), Kv
         G = []
-        for n in range(self.tg.steps):
-            R = self.remainder_op(n)
-            G.append(np.zeros(self.grid.shape, dtype=complex) if R is None
-                     else R.apply(traj.midpoints[n].ravel()).reshape(self.grid.shape))
+        for n, m in enumerate(traj.midpoints):
+            m = m.ravel()
+            G.append((self.rem.step_op(n).apply(m) - self.simp.step_op(n).apply(m))
+                     .reshape(self.grid.shape))
         u0, _ = self.range_op(G, with_remainder=True)
-        return -u0.u.coeffs, v0
+        return -u0.u.coeffs, Kv
 
-    def control_op_P(self, U_in, neumann_tol=None, max_neumann=25):
+    @cached_property
+    def free_gramian(self):
+        """K0, the zero-background Gramian, dense on the flattened coefficients.
+
+        Closed form, no step solve: mode k advances by (1 + a d_k) / (1 - a d_k)
+        per step (a = dt/2, d_k = -i sign |k|^2); w_nk is its midpoint sample
+        from a unit datum and 2 a conj(w_nj) the backward solve's weight, so
+        K0[j, k] = (phi^2)^[j - k] sum_n 2 a chi_n^2 conj(w_nj) w_nk (+ mu delta_jk),
+        Hermitian, in O(steps N^2d) operations.
+        """
+        g, a = self.grid, 0.5 * self.tg.dt
+        d = -1j * self.sign * g.abs2.ravel()
+        w = ((1.0 + a * d) / (1.0 - a * d)) ** np.arange(self.tg.steps)[:, None] / (1.0 - a * d)
+        K0 = (np.conj(w).T * (2.0 * a * self._chi ** 2)) @ w
+        phi2 = g.coeffs_from_values(self.setup.phi_values ** 2)
+        pos = np.indices(g.shape).reshape(g.dim, -1)
+        K0 *= phi2[tuple(np.subtract.outer(p, p) % g.n for p in pos)]
+        K0[np.diag_indices_from(K0)] += self.setup.mu
+        return K0
+
+    def control_op_P(self, U_in):
         """Null control of the full paralinearized system: L_P = L (Id+E)^-1.
 
-        (Id + E) Z0 = U_in is solved by the Neumann fixed point
-        Z <- U_in - E Z.  It stops when the sweep's change falls to
-        neumann_tol relative to U_in (default 10 setup.cg_tol, above the floor
-        of the CG solve inside each application of E).  HumError, naming the
-        sweep count, the last relative change against the tolerance and the
-        measured ||E|| estimate, is raised when the change has risen twice
-        (counted over all sweeps, consecutive or not), or when max_neumann
-        sweeps end without reaching the tolerance.
+        With Z0 = K v0, (Id+E) Z0 = U_in is the linear system (K + E K) v0 = U_in,
+        solved by GMRES in the pair product, preconditioned by K0 (free_gramian;
+        K0 = K at the zero background), to the true relative residual cg_tol.
+        HumError, naming that residual, the iteration count and dt (N/2)^2, is
+        raised when setup.cg_budget iterations end short of it.
         """
         st = self.setup
         b = self.filter_data(_as_coeffs(self.grid, U_in))
@@ -390,36 +402,22 @@ class HumProblem:
         if bn == 0.0:
             zeroF = [np.zeros(self.grid.shape, dtype=complex) for _ in range(self.tg.steps)]
             return zeroF, HumSolveReport(converged=True, terminal_norm=0.0)
-        neumann_tol = 10.0 * st.cg_tol if neumann_tol is None else neumann_tol
-        Z = b.copy()
-        warm = None
-        prev_delta = np.inf
-        growth = 0
-        enorm = 0.0
-        for it in range(max_neumann):
-            EZ, warm = self.perturbation_E(Z, x0=warm)
-            Z_new = b - EZ
-            delta = _pair_norm((Z_new - Z).ravel())
-            enorm = max(enorm, _pair_norm(EZ.ravel()) / max(_pair_norm(Z.ravel()), 1e-300))
-            if delta <= neumann_tol * bn:
-                Z = Z_new
-                break
-            if delta > prev_delta:
-                growth += 1
-                if growth >= 2:
-                    raise HumError(f"(Id+E) iteration diverging at sweep {it + 1}: relative "
-                                   f"change {delta / bn:.3e} against tol {neumann_tol:.1e}, "
-                                   f"||E|| estimate {enorm:.3e}")
-            prev_delta = delta
-            Z = Z_new
-        else:
-            raise HumError(f"(Id+E) iteration not converged after {max_neumann} sweeps: "
-                           f"relative change {delta / bn:.3e} against tol {neumann_tol:.1e}, "
-                           f"||E|| estimate {enorm:.3e}")
-        v0, rep = self.hum_invert(Z, x0=warm, prefilter=False)
-        F = self.control_from_v0(v0)
-        rep.extras["neumann_iterations"] = it + 1
-        rep.extras["perturbation_norm"] = enorm
+
+        def apply(v):
+            EKv, Kv = self.perturbation_E(v.reshape(self.grid.shape))
+            return (Kv + EKv).ravel()
+
+        chol = cho_factor(self.free_gramian)
+        v0, its, res = _gmres_real(apply, lambda z: cho_solve(chol, z), b.ravel(), st.cg_tol,
+                                   st.cg_budget)
+        self.cg_iterations += its
+        rep = HumSolveReport(iterations=its, residual=res, converged=bool(res <= st.cg_tol),
+                             extras={"true_residual": res})
+        if not rep.converged:
+            raise HumError(f"GMRES on (K + E K) v0 = U_in stopped after {its} iterations "
+                           f"(backstop {st.cg_budget}): true relative residual {res:.3e} against "
+                           f"tol {st.cg_tol:.1e}, dt*(N/2)^2 = {st.nyquist_phase_step:.3g}", rep)
+        F = self.control_from_v0(v0.reshape(self.grid.shape))
         traj = self.controlled_solve(b, F, with_remainder=True)
         rep.terminal_norm = _pair_norm(traj.terminal.u.coeffs) / bn
         if rep.terminal_norm > st.tol_terminal:

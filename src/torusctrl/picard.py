@@ -28,7 +28,7 @@ class IterationRecord:
     df_norm: float          # ||F^{n+1} - F^n|| likewise
     ratio: float            # du_norm(n) / du_norm(n-1)
     terminal_norm: float    # relative terminal norm of the frozen solve
-    cg_iterations: int      # CG iterations of every solve in the round
+    cg_iterations: int      # Krylov iterations of the round (its one GMRES solve)
 
 
 @dataclass
@@ -75,7 +75,7 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
     Stops when du, the C^0 H^{s-2} difference of successive iterates, falls
     to tol * scale, scale being the datum's norm.  The inner solves are
     tightened so that each stopping rule sits above the floor of the solves
-    nested inside it: the CG (and with it the Neumann sweep) runs to
+    nested inside it: the round's GMRES solve (control_op_P) runs to
     cg_tol = min(setup.cg_tol, tol/10), the step solves to
     min(setup.krylov_tol, cg_tol/100); neither is looser than the setup's.
     du below cg_tol * scale is noise of the inner solves; the stop test
@@ -121,7 +121,7 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
                 raise ControlError(
                     f"Picard iteration not contracting: ratio {ratio:.3f} at n={it}, "
                     f"du {du:.3e} above target {tol * scale:.3e} "
-                    f"(inner CG tol {cg_tol:.1e})", ledger)
+                    f"(inner Krylov tol {cg_tol:.1e})", ledger)
         else:
             growth = 0
         prev_du = du

@@ -248,17 +248,23 @@ def test_perturbed_control_layer(background):
     assert "terminal_failure" not in rep.extras
 
 
-def test_control_op_P_raises_when_neumann_sweeps_run_out():
-    # two sweeps cannot reach a 1e-14 change on a frozen background: the
-    # error names the sweep count, the last change and the ||E|| estimate
+def test_control_op_P_raises_when_gmres_backstop_is_reached():
+    # one GMRES iteration cannot solve (K + E K) v0 = U_in to cg_tol on a
+    # frozen background: the error names the true residual against the
+    # tolerance, the iteration count and dt (N/2)^2 = (1/8) 4^2 = 2
     rng = np.random.default_rng(80)
     grid = TorusGrid(2, 8)
-    st = full_setup(grid, steps=8)
+    st = full_setup(grid, steps=8, cg_max_iter=1)
     prob = HumProblem(st, NL, frozen=frozen_background(grid, st.timegrid, rng))
     U_in = prob.filter_data(small_pair(grid, rng, amp=1e-2, kmax=1).u.coeffs)
-    with pytest.raises(HumError, match=r"not converged after 2 sweeps: relative change "
-                                       r"\S+ against tol 1\.0e-14, \|\|E\|\| estimate"):
-        prob.control_op_P(U_in, neumann_tol=1e-14, max_neumann=2)
+    with pytest.raises(HumError, match=r"after 1 iterations \(backstop 1\): true relative "
+                                       r"residual \S+ against tol 1\.0e-10, "
+                                       r"dt\*\(N/2\)\^2 = 2\b") as err:
+        prob.control_op_P(U_in)
+    rep = err.value.report
+    assert rep.iterations == 1 and not rep.converged
+    assert rep.extras["true_residual"] > st.cg_tol
+    assert f"{rep.extras['true_residual']:.3e}" in str(err.value)
 
 
 def test_observability_constant_full_observation():
@@ -323,27 +329,67 @@ def test_cg_errors_name_the_nyquist_phase_step():
 
 
 def test_perturbation_E_matches_explicit_composition():
-    # E Z0 = R_P R(U) S_P Z0 with S_P Z0 the backward solve with source
-    # -chi^2 phi^2 S K^-1 Z0, composed here step by step
+    # perturbation_E(v0) = (E K v0, K v0), E K v0 = R_P R(U) S_P K v0 with
+    # S_P K v0 the backward solve with source -chi^2 phi^2 S v0, composed
+    # here step by step.  R(U) x = rem x - simp x: |R x| is 6e-8 |rem x|
+    # here, so an assembled rem - simp agrees only to eps / 6e-8 = 4e-9
     rng = np.random.default_rng(83)
     grid = TorusGrid(2, 8)
     st = strip_setup(grid, steps=8, cg_tol=1e-10, krylov_tol=1e-12)
     prob = HumProblem(st, NL, frozen=frozen_background(grid, st.timegrid, rng))
-    Z0 = prob.filter_data(random_field(grid, rng).coeffs)
-    EZ, v0 = prob.perturbation_E(Z0)
-    v0_ref, _ = prob.hum_invert(Z0, prefilter=False)
-    sol = prob.solution_op(v0_ref)
+    v0 = random_field(grid, rng).coeffs
+    EKv, Kv = prob.perturbation_E(v0)
+    assert np.array_equal(Kv, prob.hum_apply(v0))
+    sol = prob.solution_op(v0)
     chi = st.chi_mid
     G = [-(chi[n] ** 2) * prob.mult_phi(sol.midpoints[n], power=2) for n in range(st.steps)]
     zero = np.zeros(grid.shape, dtype=complex)
     S_P = evolve_linear(prob.simp, zero, direction="backward", source=G,
                         krylov_tol=st.krylov_tol)
-    RG = [prob.remainder_op(n).apply(S_P.midpoints[n].ravel()).reshape(grid.shape)
-          for n in range(st.steps)]
+    RG = []
+    for n in range(st.steps):
+        x = S_P.midpoints[n].ravel()
+        RG.append((prob.rem.step_op(n).apply(x) - prob.simp.step_op(n).apply(x))
+                  .reshape(grid.shape))
     want, _ = prob.range_op(RG, with_remainder=True)
     want = want.u.coeffs
-    assert np.array_equal(v0, v0_ref)
-    assert np.max(np.abs(EZ - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(EKv - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("mu", [0.0, 1e-3])
+def test_free_gramian_is_the_zero_background_gramian(n, sign, mu):
+    # the closed form K0 against hum_apply on the free background; measured
+    # agreement 1e-15 relative
+    rng = np.random.default_rng(85)
+    grid = TorusGrid(2, n)
+    st = strip_setup(grid, steps=24, mu=mu)
+    prob = HumProblem(st, NL, sign=sign)
+    K0 = prob.free_gramian
+    assert np.max(np.abs(K0 - K0.conj().T)) <= 1e-14 * np.max(np.abs(K0))
+    for _ in range(3):
+        v = random_field(grid, rng).coeffs
+        want = prob.hum_apply(v).ravel()
+        assert np.linalg.norm(K0 @ v.ravel() - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_observability_constant_is_the_least_eigenvalue_of_the_free_gramian():
+    # on the gamma-filtered modes the Rayleigh quotient of K is that of K0:
+    # the inverse iteration meets eigvalsh within its own rtol (1e-4); at
+    # N=32 with 96 steps (the same dt (N/2)^2 = 2.67) c_min stays bounded
+    # below (measured 3.07e-3 at N=16, 3.89e-4 at N=32)
+    c_min = {}
+    for n, steps in ((16, 24), (32, 96)):
+        grid = TorusGrid(2, n)
+        st = strip_setup(grid, steps=steps)
+        prob = HumProblem(st, NL)
+        m = st.filter_mask.ravel()
+        c_min[n] = np.linalg.eigvalsh(prob.free_gramian[np.ix_(m, m)])[0]
+        if n == 16:
+            c, _, _ = prob.observability_constant()
+            assert abs(c - c_min[n]) <= 1e-4 * c_min[n]
+    assert c_min[32] >= 3e-4
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -97,19 +97,21 @@ def test_exact_control_generic_pair():
 
 
 def test_ledger_counts_every_cg_iteration_of_a_round(monkeypatch):
-    # each round builds one HumProblem; its ledger entry is the sum of the
-    # iterations of all the round's CG solves (Neumann sweeps and the final)
+    # each round builds one HumProblem and runs one GMRES solve in
+    # control_op_P; its ledger entry is the iteration count that the solve
+    # reports.  Round 1 takes one iteration: its preconditioner K0 is K.
     grid = TorusGrid(2, 8)
     st = strip_setup(grid, steps=12, cg_tol=1e-9, tol_terminal=1e-4)
     u0 = small_pair(grid, np.random.default_rng(81), amp=1e-2, kmax=1).u
-    per_round = {}
-    invert = HumProblem.hum_invert
+    reported = []
+    solve = HumProblem.control_op_P
 
     def counted(self, *args, **kw):
-        x, rep = invert(self, *args, **kw)
-        per_round[self] = per_round.get(self, 0) + rep.iterations
-        return x, rep
-    monkeypatch.setattr(HumProblem, "hum_invert", counted)
+        F, rep = solve(self, *args, **kw)
+        reported.append(rep.iterations)
+        return F, rep
+    monkeypatch.setattr(HumProblem, "control_op_P", counted)
     res = null_control(u0, NL, st, max_iter=2, tol=1e-8, replay=False)
     assert len(res.ledger.records) == 2
-    assert [r.cg_iterations for r in res.ledger.records] == list(per_round.values())
+    assert [r.cg_iterations for r in res.ledger.records] == reported
+    assert reported[0] == 1
