@@ -23,7 +23,7 @@ negates the result, which gives E K v0 with no second backward solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -224,11 +224,10 @@ class HumProblem:
     def gramian_quadratic(self, v0):
         """The right side of positivity: int chi^2 ||phi S v0||^2 dt (pair norm)."""
         sol = self.solution_op(v0)
-        dt = self.tg.dt
         total = 0.0
         for n in range(self.tg.steps):
             pv = self.mult_phi(sol.midpoints[n])
-            total += dt * (self._chi[n] ** 2) * _pair_inner(pv.ravel(), pv.ravel())
+            total += self.tg.dt * (self._chi[n] ** 2) * _pair_inner(pv.ravel(), pv.ravel())
         if self.setup.mu > 0.0:
             v = np.asarray(v0, dtype=complex).ravel()
             total += self.setup.mu * _pair_inner(v, v)
@@ -240,8 +239,7 @@ class HumProblem:
         u0, _ = self.range_op(G)
         lhs = -_pair_inner(u0.u.coeffs.ravel(), _as_coeffs(self.grid, V0).ravel())
         sol = self.solution_op(V0)
-        dt = self.tg.dt
-        rhs = sum(dt * _pair_inner(G[n].ravel(), sol.midpoints[n].ravel())
+        rhs = sum(self.tg.dt * _pair_inner(G[n].ravel(), sol.midpoints[n].ravel())
                   for n in range(self.tg.steps))
         return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
@@ -329,9 +327,8 @@ class HumProblem:
     def control_from_v0(self, v0):
         """F(t) = sign * (-i) chi(t) phi S(K^-1 U_in)(t), midpoint samples."""
         sol = self.solution_op(v0)
-        F = [self.sign * (-1j) * self._chi[n] * self.mult_phi(sol.midpoints[n])
-             for n in range(self.tg.steps)]
-        return F
+        return [self.sign * (-1j) * self._chi[n] * self.mult_phi(sol.midpoints[n])
+                for n in range(self.tg.steps)]
 
     def control_op(self, U_in, verify=True):
         """Null control of the simplified system; returns (F_mids, v0, report)."""
@@ -367,25 +364,11 @@ class HumProblem:
         u0, _ = self.range_op(G, with_remainder=True)
         return -u0.u.coeffs, Kv
 
-    @cached_property
+    @property
     def free_gramian(self):
-        """K0, the zero-background Gramian, dense on the flattened coefficients.
-
-        Closed form, no step solve: mode k advances by (1 + a d_k) / (1 - a d_k)
-        per step (a = dt/2, d_k = -i sign |k|^2); w_nk is its midpoint sample
-        from a unit datum and 2 a conj(w_nj) the backward solve's weight, so
-        K0[j, k] = (phi^2)^[j - k] sum_n 2 a chi_n^2 conj(w_nj) w_nk (+ mu delta_jk),
-        Hermitian, in O(steps N^2d) operations.
-        """
-        g, a = self.grid, 0.5 * self.tg.dt
-        d = -1j * self.sign * g.abs2.ravel()
-        w = ((1.0 + a * d) / (1.0 - a * d)) ** np.arange(self.tg.steps)[:, None] / (1.0 - a * d)
-        K0 = (np.conj(w).T * (2.0 * a * self._chi ** 2)) @ w
-        phi2 = g.coeffs_from_values(self.setup.phi_values ** 2)
-        pos = np.indices(g.shape).reshape(g.dim, -1)
-        K0 *= phi2[tuple(np.subtract.outer(p, p) % g.n for p in pos)]
-        K0[np.diag_indices_from(K0)] += self.setup.mu
-        return K0
+        """K0, the zero-background Gramian, dense on the flattened coefficients."""
+        return _free_gramian(self.grid, self.sign, self.tg.dt, self._chi,
+                             self.setup.phi_values, self.setup.mu)
 
     def control_op_P(self, U_in):
         """Null control of the full paralinearized system: L_P = L (Id+E)^-1.
@@ -407,7 +390,8 @@ class HumProblem:
             EKv, Kv = self.perturbation_E(v.reshape(self.grid.shape))
             return (Kv + EKv).ravel()
 
-        chol = cho_factor(self.free_gramian)
+        chol = _free_gramian_factor(self.grid, self.sign, self.tg.dt, self._chi.tobytes(),
+                                    st.phi_values.tobytes(), st.mu)
         v0, its, res = _gmres_real(apply, lambda z: cho_solve(chol, z), b.ravel(), st.cg_tol,
                                    st.cg_budget)
         self.cg_iterations += its
@@ -440,9 +424,7 @@ class HumProblem:
         inner solve that does not reach inner_tol raises HumError (_cg), so
         c_min never comes from unconverged solves.
         """
-        st = self.setup
         rng = np.random.default_rng(seed)
-        mask = st.filter_mask
 
         def PKP(x):
             return self.filter_data(self.hum_apply(self.filter_data(x)))
@@ -451,27 +433,48 @@ class HumProblem:
                              + 1j * rng.standard_normal(self.grid.shape))
         x /= _pair_norm(x.ravel())
         ray_prev = np.inf
-        report = HumSolveReport()
         for _ in range(n_iter):
             y, _ = self._cg(PKP, x, inner_tol)
             y = self.filter_data(y)
             y /= max(_pair_norm(y.ravel()), 1e-300)
             Ky = PKP(y)
             ray = _pair_inner(Ky.ravel(), y.ravel()) / _pair_inner(y.ravel(), y.ravel())
-            if abs(ray - ray_prev) <= rtol * max(abs(ray), 1e-300):
-                x = y
-                ray_prev = ray
+            settled = abs(ray - ray_prev) <= rtol * max(abs(ray), 1e-300)
+            x, ray_prev = y, ray
+            if settled:
                 break
-            x = y
-            ray_prev = ray
         c_min = float(ray_prev)
-        flat = np.abs(np.where(mask, x, 0.0))
-        worst = np.unravel_index(np.argmax(flat), self.grid.shape)
+        # x is gamma-filtered, so its largest mode lies in the filtered ball
+        worst = np.unravel_index(np.argmax(np.abs(x)), self.grid.shape)
         worst_mode = tuple(int(self.grid.freq_1d[i]) for i in worst)
-        report.rayleigh_min = c_min
-        report.extras["worst_mode"] = worst_mode
-        report.extras["observability_failure"] = bool(c_min < 1e-12)
+        report = HumSolveReport(rayleigh_min=c_min, extras={
+            "worst_mode": worst_mode, "observability_failure": bool(c_min < 1e-12)})
         return c_min, worst_mode, report
+
+
+def _free_gramian(grid, sign, dt, chi, phi, mu):
+    """K0, the zero-background Gramian, dense and Fortran-ordered, in closed form.
+
+    Mode k advances by (1 + a d_k) / (1 - a d_k) per step (a = dt/2,
+    d_k = -i sign |k|^2); with w_nk its midpoint sample from a unit datum,
+    K0[j, k] = (phi^2)^[j - k] sum_n 2 a chi_n^2 conj(w_nj) w_nk (+ mu delta_jk),
+    Hermitian, in O(steps N^2d) operations.  The gather runs N^(d-1) rows at a time.
+    """
+    a, d = 0.5 * dt, -1j * sign * grid.abs2.ravel()
+    w = ((1.0 + a * d) / (1.0 - a * d)) ** np.arange(len(chi))[:, None] / (1.0 - a * d)
+    K0 = ((w.T * (2.0 * a * chi ** 2)) @ np.conj(w)).T      # w^H c w, Fortran-ordered
+    phi2, pos = grid.coeffs_from_values(phi ** 2), np.indices(grid.shape).reshape(grid.dim, -1)
+    for rows in np.split(np.arange(grid.size), grid.n):
+        K0[rows] *= phi2[tuple((p[rows, None] - p) % grid.n for p in pos)]
+    K0[np.diag_indices_from(K0)] += mu
+    return K0
+
+
+@lru_cache(maxsize=2)
+def _free_gramian_factor(grid, sign, dt, chi_bytes, phi_bytes, mu):
+    """cho_factor of K0 in place, keyed on K0's data: built once, not per Picard round."""
+    chi, phi = np.frombuffer(chi_bytes), np.frombuffer(phi_bytes).reshape(grid.shape)
+    return cho_factor(_free_gramian(grid, sign, dt, chi, phi, mu), overwrite_a=True)
 
 
 def _pair_norm(x):

@@ -238,11 +238,11 @@ def test_perturbed_control_layer(background):
         EZ, _ = prob.perturbation_E(U_in)
         assert np.max(np.abs(EZ)) == 0.0
     else:
-        # ||E Z|| <= C eps0 ||Z|| on probes (C pinned)
+        # ||E Z|| <= C eps0 ||Z|| on probes Z = K v in the range of K (C pinned)
         for _ in range(2):
-            Z = prob.filter_data(random_field(grid, rng).coeffs)
-            EZ, _ = prob.perturbation_E(Z)
-            assert np.linalg.norm(EZ) <= 0.5 * np.linalg.norm(Z)
+            v = prob.filter_data(random_field(grid, rng).coeffs)
+            EKv, Kv = prob.perturbation_E(v)
+            assert np.linalg.norm(EKv) <= 0.5 * np.linalg.norm(Kv)
     F, rep = prob.control_op_P(U_in)
     assert rep.terminal_norm <= 1e-5
     assert "terminal_failure" not in rep.extras
