@@ -180,7 +180,11 @@ class FreeProgram:
 # linear-step solver
 
 
-def _solve_shifted(op, a, b, krylov_tol, max_fixed=8, gmres_maxiter=300):
+# a step solve's preconditioned fixed-point sweeps, then its GMRES fallback's backstop
+_FIXED_SWEEPS, _STEP_GMRES_BACKSTOP = 8, 15000
+
+
+def _solve_shifted(op, a, b, krylov_tol):
     """Solve (I - a L) x = b for the real-linear step operator L."""
     if isinstance(op, DiagonalOp):
         return b / (1.0 - a * op.d)
@@ -190,7 +194,7 @@ def _solve_shifted(op, a, b, krylov_tol, max_fixed=8, gmres_maxiter=300):
         return np.zeros_like(b)
 
     x = b / denom
-    for _ in range(max_fixed):
+    for _ in range(_FIXED_SWEEPS):
         r = b - (x - a * op.apply(x))
         rn = np.linalg.norm(r)
         if rn <= krylov_tol * bn:
@@ -199,9 +203,9 @@ def _solve_shifted(op, a, b, krylov_tol, max_fixed=8, gmres_maxiter=300):
 
     # preconditioned fixed point stalled: fall back to GMRES
     x, _, r = _gmres_real(lambda z: z - a * op.apply(z), lambda z: z / denom, b, krylov_tol,
-                          50 * gmres_maxiter, x0=x)
-    if r > 10 * krylov_tol:
-        raise EvolveError(f"Krylov step solve failed: residual={r * bn:.3e}")
+                          _STEP_GMRES_BACKSTOP, x0=x)
+    if np.linalg.norm(r) > 10 * krylov_tol * bn:
+        raise EvolveError(f"Krylov step solve failed: residual={np.linalg.norm(r):.3e}")
     return x
 
 
@@ -211,7 +215,7 @@ def _gmres_real(apply, precondition, b, tol, max_iter, x0=None):
     precondition approximates apply's inverse (scipy applies it on the left).
     Stops when the true residual, tested after each restart cycle of 50
     iterations, falls to tol relative to b, or after the cycles that hold
-    max_iter iterations.  Returns (x, iterations, that relative residual).
+    max_iter iterations.  Returns (x, iterations, the residual b - apply(x)).
     """
     n = b.size
     last = {}
@@ -236,7 +240,7 @@ def _gmres_real(apply, precondition, b, tol, max_iter, x0=None):
     x = sol[:n] + 1j * sol[n:]
     # scipy's last application is the residual test of the iterate it returns
     Ax = last["Ax"] if np.array_equal(last.get("x"), x) else apply(x)
-    return x, len(iterations), np.linalg.norm(b - Ax) / np.linalg.norm(b)
+    return x, len(iterations), b - Ax
 
 
 def _check_finite(x, where):

@@ -1,5 +1,5 @@
-"""HUM machinery: range/solution operators, the Gramian and its conjugate
-gradient inversion in the pair scalar product, the control operators for the
+"""HUM machinery: range/solution operators, the Gramian and its Krylov
+inversion in the pair scalar product, the control operators for the
 simplified and remainder-perturbed systems, and the observability constant.
 
 The solution operator is the exact discrete pairing-adjoint flow of the
@@ -7,11 +7,12 @@ forward generator (see evolve), so the duality identity, the symmetry and
 positivity of the Gramian, and the controlled-replay identities all hold to
 Krylov tolerance at every frozen background.
 
-One conjugate gradient (HumProblem._cg) serves the Gramian inversion of
-hum_invert and the inner P K P solves of observability_constant.  The
-remainder-perturbed control (control_op_P) is one GMRES solve of
-(K + E K) v0 = U_in, preconditioned by the closed-form zero-background
-Gramian K0 (free_gramian).
+One GMRES in the pair product (HumProblem._solve), preconditioned by the
+closed-form zero-background Gramian K0 (free_gramian), serves every HUM
+system: K v0 = U_in (hum_invert), (K + E K) v0 = U_in for the
+remainder-perturbed control (control_op_P) and the inner P K P solves of
+observability_constant.  HUM by Krylov iteration in the pair product
+follows Glowinski-Lions-He (CUP 2008); GMRES is Saad-Schultz (SISC 7, 1986).
 
 The controlled simplified trajectory S_P Z0 (Z(0) = Z0, Z(T) = 0) is the
 backward solve with source -chi^2 phi^2 S v0, v0 = K^-1 Z0: exactly minus
@@ -48,15 +49,13 @@ class HumError(RuntimeError):
 class ControlSetup:
     """Horizon, cutoffs, frequency filter and solver knobs for one problem.
 
-    cg_tol is the relative pair-norm residual at which the Gramian CG
-    (hum_invert) and the (K + E K) GMRES of control_op_P stop.
-    krylov_tol is the relative residual of every implicit-midpoint step
-    solve.  A caller with a tighter outer target may tighten both
-    (picard.null_control does), never loosen them.  cg_max_iter is only a
-    backstop against runaway solves, CG's and GMRES's: they stop on
-    convergence (CG also on measured stagnation) long before it.  None (the
-    default) sets it to four times the real dimension 2 N^d, within which CG
-    would terminate in exact arithmetic (cg_budget).
+    cg_tol is the true relative pair-norm residual at which every HUM
+    solve (HumProblem._solve) stops.  krylov_tol is the relative residual
+    of every implicit-midpoint step solve.  A caller with a tighter outer
+    target may tighten both (picard.null_control does), never loosen them.
+    cg_max_iter is only a backstop against runaway GMRES solves, which stop
+    on convergence long before it; None (the default) sets it to 8 N^d,
+    four times the real dimension 2 N^d (cg_budget).
     """
 
     grid: TorusGrid
@@ -148,6 +147,12 @@ class HumSolveReport:
 
 def _pair_inner(x, y):
     return 2.0 * float(np.vdot(y, x).real)
+
+
+# inverse iteration of observability_constant: round cap and relative
+# settling of the Rayleigh quotient
+_OBS_ITERATIONS = 30
+_OBS_RTOL = 1e-4
 
 
 class HumProblem:
@@ -249,80 +254,44 @@ class HumProblem:
         return self.setup.filter_data(x)
 
     def hum_invert(self, U_in):
-        """CG on K v0 = U_in in the pair product (see _cg), U_in gamma-filtered."""
-        return self._cg(self.hum_apply, self.filter_data(_as_coeffs(self.grid, U_in)),
-                        self.setup.cg_tol)
+        """K v0 = U_in, U_in gamma-filtered, by _solve; returns (raveled v0, report)."""
+        return self._solve(self.hum_apply, self.filter_data(_as_coeffs(self.grid, U_in)),
+                           "K v0 = U_in")
 
-    def _cg(self, apply_fn, b, tol):
-        """CG on apply_fn(x) = b in the pair product; returns (x, HumSolveReport).
+    def _solve(self, apply_fn, b, what):
+        """GMRES on apply_fn(x) = b in the pair product; returns (raveled x, HumSolveReport).
 
-        apply_fn is K or P K P.  Stops when the recursive relative residual
-        reaches tol.  Raises HumError on a direction that is not positive,
-        when the residual has stagnated -- its best value has not halved
-        within the last N^d iterations (at least 64) -- or, as a backstop,
-        after setup.cg_budget iterations.  At exit b - apply_fn(x) is
-        computed once; extras["true_residual"] is its norm relative to b.
-        The error's message and report give the relative residual, its
-        gamma-filtered (in-ball) and out-of-ball parts, the true residual,
-        the Rayleigh range and setup.nyquist_phase_step.
+        apply_fn (K, K + E K or P K P) takes grid-shaped arrays.  GMRES is
+        left-preconditioned by K0^-1 (free_gramian's cached Cholesky factor;
+        K0 = K at the zero background) and stops when the true relative
+        residual reaches setup.cg_tol, with setup.cg_budget iterations as the
+        backstop.  extras hold that residual and its gamma-filtered (in-ball)
+        and out-of-ball parts; HumError names them, the iteration count and
+        setup.nyquist_phase_step when the backstop ends the solve short of tol.
         """
         st = self.setup
         b = np.asarray(b, dtype=complex).ravel()
-        rep = HumSolveReport()
-        bn = np.sqrt(_pair_inner(b, b))
+        bn = _pair_norm(b)
         if bn == 0.0:
-            rep.converged = True
-            rep.extras["true_residual"] = 0.0
-            return np.zeros_like(b), rep
-        x = np.zeros_like(b)
-        r = b.copy()
-        p = r.copy()
-        rr = _pair_inner(r, r)
-        # stagnation: the best residual not halved within half the real
-        # dimension 2 N^d (at least 64 iterations); the converging solves of
-        # the tier-1 Picard problems at N=16 halve it within 98 (window 256)
-        window = max(64, self.grid.size)
-        best = [np.sqrt(rr)]    # best residual norm so far, after 0, 1, 2, ... iterations
-        why = None              # why CG stopped short of tol
-        while why is None and np.sqrt(rr) > tol * bn and len(best) <= st.cg_budget:
-            Kp = apply_fn(p).ravel()
-            pKp = _pair_inner(Kp, p)
-            if pKp <= 0.0:
-                why = f"met a Gramian direction that is not positive ({pKp:.3e})"
-                break
-            ray = pKp / _pair_inner(p, p)
-            rep.rayleigh_min = min(rep.rayleigh_min, ray)
-            rep.rayleigh_max = max(rep.rayleigh_max, ray)
-            alpha = rr / pKp
-            x = x + alpha * p
-            r = r - alpha * Kp
-            rr_new = _pair_inner(r, r)
-            p = r + (rr_new / rr) * p
-            rr = rr_new
-            rep.iterations += 1
-            best.append(min(best[-1], np.sqrt(rr)))
-            if len(best) > window and best[-1] > 0.5 * best[-1 - window]:
-                why = f"stagnated (best residual not halved in {window} iterations)"
-        self.cg_iterations += rep.iterations
-        rep.converged = bool(np.sqrt(rr) <= tol * bn)
-        rep.residual = float(np.sqrt(rr) / bn)
+            return np.zeros_like(b), HumSolveReport(converged=True, extras={"true_residual": 0.0})
+        chol = _free_gramian_factor(self.grid, self.sign, self.tg.dt, self._chi.tobytes(),
+                                    st.phi_values.tobytes(), st.mu)
+        x, its, r = _gmres_real(lambda v: apply_fn(v.reshape(self.grid.shape)).ravel(),
+                                lambda z: cho_solve(chol, z), b, st.cg_tol, st.cg_budget)
+        self.cg_iterations += its
         r_in = self.filter_data(r)
-        rep.extras["residual_in_ball"] = _pair_norm(r_in) / bn
-        rep.extras["residual_out_of_ball"] = _pair_norm(r.reshape(self.grid.shape) - r_in) / bn
-        # with no iteration run, r is b - K x itself
-        r_true = b - apply_fn(x).ravel() if rep.iterations else r
-        rep.extras["true_residual"] = _pair_norm(r_true) / bn
-        if rep.converged:
-            return x, rep
-        why = why or f"reached the backstop of {st.cg_budget} iterations"
-        raise HumError(
-            f"CG {why} after {rep.iterations} iterations: relative residual "
-            f"{rep.residual:.3e} against tol {tol:.1e} "
-            f"(in-ball {rep.extras['residual_in_ball']:.3e}, "
-            f"out-of-ball {rep.extras['residual_out_of_ball']:.3e}, "
-            f"true {rep.extras['true_residual']:.3e}), "
-            f"Rayleigh range [{rep.rayleigh_min:.3e}, {rep.rayleigh_max:.3e}], "
-            f"dt*(N/2)^2 = {st.nyquist_phase_step:.3g}", rep)
+        parts = {"true_residual": _pair_norm(r) / bn, "residual_in_ball": _pair_norm(r_in) / bn,
+                 "residual_out_of_ball": _pair_norm(r.reshape(r_in.shape) - r_in) / bn}
+        res = parts["true_residual"]
+        rep = HumSolveReport(its, res, converged=bool(res <= st.cg_tol), extras=parts)
+        if not rep.converged:
+            raise HumError(
+                f"GMRES on {what} stopped after {its} iterations (backstop {st.cg_budget}): "
+                f"true relative residual {res:.3e} against tol {st.cg_tol:.1e}, "
+                f"dt*(N/2)^2 = {st.nyquist_phase_step:.3g}; in-ball "
+                f"{parts['residual_in_ball']:.3e}, out-of-ball "
+                f"{parts['residual_out_of_ball']:.3e}", rep)
+        return x, rep
 
     def control_from_v0(self, v0):
         """F(t) = sign * (-i) chi(t) phi S(K^-1 U_in)(t), midpoint samples."""
@@ -374,57 +343,37 @@ class HumProblem:
         """Null control of the full paralinearized system: L_P = L (Id+E)^-1.
 
         With Z0 = K v0, (Id+E) Z0 = U_in is the linear system (K + E K) v0 = U_in,
-        solved by GMRES in the pair product, preconditioned by K0 (free_gramian;
-        K0 = K at the zero background), to the true relative residual cg_tol.
-        HumError, naming that residual, the iteration count and dt (N/2)^2, is
-        raised when setup.cg_budget iterations end short of it.
+        solved by _solve to the true relative residual cg_tol.
         """
-        st = self.setup
         b = self.filter_data(_as_coeffs(self.grid, U_in))
-        bn = _pair_norm(b.ravel())
-        if bn == 0.0:
-            zeroF = [np.zeros(self.grid.shape, dtype=complex) for _ in range(self.tg.steps)]
-            return zeroF, HumSolveReport(converged=True, terminal_norm=0.0)
 
         def apply(v):
-            EKv, Kv = self.perturbation_E(v.reshape(self.grid.shape))
-            return (Kv + EKv).ravel()
+            EKv, Kv = self.perturbation_E(v)
+            return Kv + EKv
 
-        chol = _free_gramian_factor(self.grid, self.sign, self.tg.dt, self._chi.tobytes(),
-                                    st.phi_values.tobytes(), st.mu)
-        v0, its, res = _gmres_real(apply, lambda z: cho_solve(chol, z), b.ravel(), st.cg_tol,
-                                   st.cg_budget)
-        self.cg_iterations += its
-        rep = HumSolveReport(iterations=its, residual=res, converged=bool(res <= st.cg_tol),
-                             extras={"true_residual": res})
-        if not rep.converged:
-            raise HumError(f"GMRES on (K + E K) v0 = U_in stopped after {its} iterations "
-                           f"(backstop {st.cg_budget}): true relative residual {res:.3e} against "
-                           f"tol {st.cg_tol:.1e}, dt*(N/2)^2 = {st.nyquist_phase_step:.3g}", rep)
+        v0, rep = self._solve(apply, b, "(K + E K) v0 = U_in")
         F = self.control_from_v0(v0.reshape(self.grid.shape))
         traj = self.controlled_solve(b, F, with_remainder=True)
-        rep.terminal_norm = _pair_norm(traj.terminal.u.coeffs) / bn
-        if rep.terminal_norm > st.tol_terminal:
+        rep.terminal_norm = _pair_norm(traj.terminal.u.coeffs) / max(_pair_norm(b), 1e-300)
+        if rep.terminal_norm > self.setup.tol_terminal:
             rep.extras["terminal_failure"] = True
         return F, rep
 
     # -- observability ---------------------------------------------------------
 
-    def observability_constant(self, n_iter=30, inner_tol=1e-6, rtol=1e-4, seed=0):
+    def observability_constant(self):
         """Smallest Rayleigh quotient of the Gramian on the filtered space.
 
-        Inverse power iteration driven by CG solves of P K P y = x; returns
-        (c_min, worst_mode, report).  c_min below 1e-12 flags an
-        observability failure of the discrete problem.  Missing GCC does
-        not make one: on a flat torus Schroedinger is observable from any
-        open set (Jaffard, Portugal. Math. 47, 1990), and c_min levels off
-        in N for one strip (1.4e-4) and a ball (1.2e-8), neither of which
-        satisfies check_gcc.  GCC is the paper's hypothesis for the
-        quasi-linear argument, not a condition for this constant.  An
-        inner solve that does not reach inner_tol raises HumError (_cg), so
-        c_min never comes from unconverged solves.
+        Inverse power iteration (at most _OBS_ITERATIONS rounds, until the
+        quotient settles to _OBS_RTOL), each round one _solve of P K P y = x
+        at cg_tol; returns (c_min, worst_mode, report).  c_min below 1e-12
+        flags an observability failure of the discrete problem.  Missing GCC
+        does not make one: on a flat torus Schroedinger is observable from
+        any open set (Jaffard, Portugal. Math. 47, 1990), and c_min levels
+        off in N for one strip and a ball, neither of which satisfies
+        check_gcc.  An unconverged inner solve raises HumError.
         """
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
 
         def PKP(x):
             return self.filter_data(self.hum_apply(self.filter_data(x)))
@@ -433,13 +382,13 @@ class HumProblem:
                              + 1j * rng.standard_normal(self.grid.shape))
         x /= _pair_norm(x.ravel())
         ray_prev = np.inf
-        for _ in range(n_iter):
-            y, _ = self._cg(PKP, x, inner_tol)
+        for _ in range(_OBS_ITERATIONS):
+            y, _ = self._solve(PKP, x, "P K P y = x")
             y = self.filter_data(y)
             y /= max(_pair_norm(y.ravel()), 1e-300)
             Ky = PKP(y)
             ray = _pair_inner(Ky.ravel(), y.ravel()) / _pair_inner(y.ravel(), y.ravel())
-            settled = abs(ray - ray_prev) <= rtol * max(abs(ray), 1e-300)
+            settled = abs(ray - ray_prev) <= _OBS_RTOL * max(abs(ray), 1e-300)
             x, ray_prev = y, ray
             if settled:
                 break

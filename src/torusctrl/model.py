@@ -182,7 +182,9 @@ def assemble_A_from_coeffs(coeffs: CoefficientSet, cutoff: CutoffProfile) -> Pai
     return PairOp(grid, -(Mp + Mr), -Mq)
 
 
-# pair-||U||_{H^{d/2+2.5}} above which freezing at U warns
+# pair-||U||_{H^{d/2+2.5}} above which freezing at U warns.  Measured on the
+# N=16 two-strip Picard problem: Picard still contracts at datum norm 1e-1
+# (ratios <= 1.6e-2); at 4e-1 its ratios reach 0.22
 _SMALLNESS_GATE = 1e-2
 
 
@@ -255,7 +257,13 @@ def frozen_symbol_terms(coeffs: CoefficientSet):
     multipliers i xi_l vanish on the Nyquist row, as in
     grid.derivative_coeffs.
     """
-    grid = coeffs.grid
+    z_ms, c_ms = _frozen_multiplier_symbols(coeffs.grid)
+    return (list(zip([coeffs.a2, coeffs.g2rho, *coeffs.e1], z_ms)),
+            list(zip([coeffs.b2, *coeffs.f1], c_ms)))
+
+
+def _frozen_multiplier_symbols(grid: TorusGrid):
+    """The multipliers m(xi) of frozen_symbol_terms: (those on w, those on conj(w))."""
     d = grid.dim
     neg_abs2 = xi_abs2(d).scaled(-1.0)                    # Lap <-> -|xi|^2
 
@@ -263,11 +271,17 @@ def frozen_symbol_terms(coeffs: CoefficientSet):
         return lambda xi: 1j * np.where(xi[a] == -(grid.n // 2), 0.0, xi[a])
 
     i_comp = [i_xi(a) for a in range(d)]
-    z_terms = [(coeffs.a2, neg_abs2), (coeffs.g2rho, xi_const(d))]
-    z_terms += [(coeffs.e1[a], i_comp[a]) for a in range(d)]
-    c_terms = [(coeffs.b2, neg_abs2)]
-    c_terms += [(coeffs.f1[a], i_comp[a]) for a in range(d)]
-    return z_terms, c_terms
+    return [neg_abs2, xi_const(d), *i_comp], [neg_abs2, *i_comp]
+
+
+@cache
+def _frozen_multipliers(grid: TorusGrid):
+    """The m(xi) of frozen_symbol_terms stacked on the grid, built once per grid, read-only."""
+    xi = [f.astype(float) for f in grid.freqs]
+    z_ms, c_ms = _frozen_multiplier_symbols(grid)
+    stack = np.stack([np.broadcast_to(m(xi), grid.shape) for m in z_ms + c_ms])
+    stack.flags.writeable = False
+    return stack
 
 
 def assemble_frozen(U: PairState, nl: Nonlinearity) -> PairOp:
@@ -284,17 +298,14 @@ def assemble_frozen_from_coeffs(coeffs: CoefficientSet) -> PairOp:
 
     The free flow -i|k|^2 is the sparse part, and nothing else is (a CSR
     diagonal shared by every assembly on the grid, see _free_flow); the
-    coefficient terms c(x) m(D) form one multiplication block, applied as
+    coefficient terms c(x) m(D) form one multiplication block (its
+    multipliers shared likewise, see _frozen_multipliers), applied as
     i F[sum c F^-1(m w)] by FFTs, so the operator costs O(N^d) memory.
     """
     grid = coeffs.grid
-    xi = [f.astype(float) for f in grid.freqs]
     z_terms, c_terms = frozen_symbol_terms(coeffs)
-    terms = z_terms + c_terms
-    block = MultBlock(np.full(grid.shape, 1j),
-                      np.stack([c for c, _ in terms]),
-                      np.stack([np.broadcast_to(m(xi), grid.shape) for _, m in terms]),
-                      len(z_terms))
+    block = MultBlock(np.full(grid.shape, 1j), np.stack([c for c, _ in z_terms + c_terms]),
+                      _frozen_multipliers(grid), len(z_terms))
     return PairOp(grid, _free_flow(grid), mult=(block,))
 
 

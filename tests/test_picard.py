@@ -115,3 +115,16 @@ def test_ledger_counts_every_cg_iteration_of_a_round(monkeypatch):
     assert len(res.ledger.records) == 2
     assert [r.cg_iterations for r in res.ledger.records] == reported
     assert reported[0] == 1
+
+
+def test_picard_ratio_scales_with_the_square_of_the_amplitude():
+    # the paper's smallness hypothesis on the benchmark's Picard problem: the
+    # nonlinearity is cubic, so the first Picard ratio scales as the square
+    # of the datum and tripling the datum multiplies it by 9 (measured 8.997
+    # on seed 1 and 8.993 on seed 2; from 3e-2 to 1e-1, 11.07 against 11.11)
+    grid = TorusGrid(2, 16)
+    st = strip_setup(grid, steps=24, cg_tol=1e-9, tol_terminal=1e-4)
+    u0 = small_pair(grid, np.random.default_rng(1), amp=1e-2, kmax=1).u
+    ratios = [null_control(u0 * scale, NL, st, max_iter=2, tol=1e-5, replay=False)
+              .ledger.ratios[0] for scale in (1.0, 3.0)]
+    assert ratios[1] / ratios[0] == pytest.approx(9.0, rel=0.05)
