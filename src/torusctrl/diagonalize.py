@@ -70,12 +70,15 @@ def _estimate_norm(op: PairOp, rng, probes=4, iters=6):
     return est
 
 
-def build_phi(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile,
-              tail_tol=1e-10, max_depth=40, seed=0) -> DiagonalizationMap:
+# Neumann series of build_phi: depth cap and the tail norm estimate that ends it
+_NEUMANN_MAX_DEPTH, _NEUMANN_TAIL_TOL = 40, 1e-10
+
+
+def build_phi(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile) -> DiagonalizationMap:
     """Construct Phi(U) and its Neumann-series inverse.
 
     Raises DiagonalizationError when the series does not contract (norm
-    estimate of Q at or above one).
+    estimate of Q at or above one).  The norm probes are seeded with 0.
     """
     grid = U.grid
     co = compute_coefficients(U, nl)
@@ -83,7 +86,7 @@ def build_phi(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile,
     psi = _order_zero_pairop(grid, co.s1, co.s2, cutoff)        # Op^BW(S)
     Q = psi.compose(phi) - PairOp.identity(grid)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     qnorm = _estimate_norm(Q, rng)
     if qnorm >= 1.0:
         raise DiagonalizationError(f"Neumann series not contracting: ||Q|| ~ {qnorm:.3e}")
@@ -91,11 +94,11 @@ def build_phi(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile,
     inv_factor = PairOp.identity(grid)
     term = PairOp.identity(grid)
     depth, tail = 0, qnorm
-    for depth in range(1, max_depth + 1):
+    for depth in range(1, _NEUMANN_MAX_DEPTH + 1):
         term = (-1.0) * term.compose(Q)
         inv_factor = inv_factor + term
         tail = _estimate_norm(term, rng, probes=2, iters=2)
-        if tail < tail_tol:
+        if tail < _NEUMANN_TAIL_TOL:
             break
     inverse = inv_factor.compose(psi)
 

@@ -18,7 +18,7 @@ identities inherit that exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -60,7 +60,6 @@ class Trajectory:
     tg: TimeGrid
     states: list                 # steps+1 node coefficient arrays
     midpoints: list              # steps midpoint coefficient arrays
-    diagnostics: dict = field(default_factory=dict)
 
     def state(self, n) -> PairState:
         return PairState(SpectralField(self.grid, self.states[n]))
@@ -88,8 +87,7 @@ def reverse_time(traj: Trajectory) -> Trajectory:
     """Snapshot order reversed, time stamps mapped t -> (t0+t1) - t."""
     return Trajectory(traj.grid, traj.tg,
                       [s.copy() for s in reversed(traj.states)],
-                      [m.copy() for m in reversed(traj.midpoints)],
-                      dict(traj.diagnostics))
+                      [m.copy() for m in reversed(traj.midpoints)])
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +104,20 @@ class FrozenProgram:
     the transposed CSR blocks of i A(U), the exact FFT transpose of the
     matrix-free multiplicative form; discrete duality is exact either way).
 
-    dealias (frozen_with_remainder only; default off) row-filters the
-    nonlinear part of each step operator by the 2/3 mask; the step operator
-    is then the generator that evolve_nonlinear integrates (both come from
-    _frozen_generator), so that the operator frozen at U and applied to U is
-    the dealiased nonlinear right-hand side.  Off, it reproduces the
-    undealiased one (model.frozen_linear_rhs).
+    The frozen-with-remainder step operator comes from _frozen_generator, as
+    evolve_nonlinear's does: frozen at U and applied to U, it is the
+    dealiased nonlinear right-hand side.
     """
 
     def __init__(self, frozen: Trajectory, nl: Nonlinearity, cutoff: CutoffProfile,
-                 kind="frozen_simplified", sign=1.0, dealias=False):
+                 kind="frozen_simplified", sign=1.0):
         if kind not in ("frozen_simplified", "frozen_with_remainder"):
             raise ValueError(f"unknown frozen kind {kind!r}")
-        if dealias and kind != "frozen_with_remainder":
-            raise ValueError("dealias applies to the frozen_with_remainder kind only")
         self.frozen = frozen
         self.nl = nl
         self.cutoff = cutoff
         self.kind = kind
         self.sign = float(sign)
-        self.dealias = dealias
         self.grid = frozen.grid
         self.tg = frozen.tg
         self._cache = {}
@@ -146,7 +138,7 @@ class FrozenProgram:
             op = (-1.0) * base.transpose_pairing()
         elif self.kind == "frozen_with_remainder":
             op = _frozen_generator(self.grid, self.nl, self.frozen.mid_background(n),
-                                   self.sign, self.dealias)
+                                   self.sign)
         else:
             bg = self.frozen.mid_background(n)
             co = compute_coefficients(PairState(SpectralField(self.grid, bg)), self.nl)
@@ -302,18 +294,15 @@ def _dealias_nonlinear(L: PairOp) -> PairOp:
     return PairOp(L.grid, L.Z, L.C, [b.scaled(mask) for b in L.mult])
 
 
-def _frozen_generator(grid, nl, coeffs, sign, dealias):
-    """sign * (the frozen-with-remainder generator at the state coeffs).
+def _frozen_generator(grid, nl, coeffs, sign):
+    """sign * (the dealiased frozen-with-remainder generator at the state coeffs).
 
     The one builder of that generator: FrozenProgram's step operators and
     the passes of evolve_nonlinear both come from here, so the Picard
-    rounds solve exactly the equation that the replay integrates.  With
-    dealias on, the nonlinear part is 2/3-filtered (_dealias_nonlinear).
+    rounds solve exactly the equation that the replay integrates.
     """
     co = compute_coefficients(PairState(SpectralField(grid, coeffs)), nl)
-    op = assemble_frozen_from_coeffs(co)
-    if dealias:
-        op = _dealias_nonlinear(op)
+    op = _dealias_nonlinear(assemble_frozen_from_coeffs(co))
     return op if sign == 1.0 else sign * op
 
 
@@ -326,9 +315,9 @@ _NONLINEAR_PASSES = 2
 
 
 def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
-                     control=None, sign=1.0, dealias=True,
-                     krylov_tol=1e-10, record_mass=False) -> Trajectory:
-    """Implicit midpoint for the controlled nonlinear equation.
+                     control=None, sign=1.0, krylov_tol=1e-10) -> Trajectory:
+    """Implicit midpoint for the controlled nonlinear equation, 2/3-dealiased
+    (the right-hand side is model.full_nonlinear_rhs with dealias=True).
 
     control, when given, is (chi_mid, phi_values, F_mids) as control_sources
     takes it.
@@ -337,7 +326,6 @@ def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
     init = _as_coeffs(grid, init)
     states = [init.copy()]
     mids = []
-    mass = [float(np.vdot(init, init).real)] if record_mass else None
 
     sources = None if control is None else control_sources(grid, control, sign)
     for n in range(tg.steps):
@@ -346,15 +334,12 @@ def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
             rhs = rhs + a * sources[n].ravel()
         x = states[n].ravel()
         for _ in range(_NONLINEAR_PASSES):
-            op = _frozen_generator(grid, nl, x.reshape(grid.shape), sign, dealias)
+            op = _frozen_generator(grid, nl, x.reshape(grid.shape), sign)
             x = _solve_shifted(op, a, rhs, krylov_tol)
         _check_finite(x, f"at step {n}")
         mids.append(x.reshape(grid.shape))
         states.append((2.0 * x - states[n].ravel()).reshape(grid.shape))
-        if record_mass:
-            mass.append(float(np.vdot(states[-1], states[-1]).real))
-    diag = {"mass": mass} if record_mass else {}
-    return Trajectory(grid, tg, states, mids, diag)
+    return Trajectory(grid, tg, states, mids)
 
 
 def control_sources(grid, control, sign):

@@ -45,9 +45,16 @@ class HumError(RuntimeError):
         self.report = report
 
 
+GAMMA = 1.0 / 3.0      # the HUM frequency filter keeps the modes |k| <= GAMMA N/2
+
+
 @dataclass
 class ControlSetup:
-    """Horizon, cutoffs, frequency filter and solver knobs for one problem.
+    """Horizon, cutoffs and solver tolerances for one problem.
+
+    Settings: T, steps, phi, chi, cg_tol, cg_max_iter, tol_terminal, krylov_tol.
+    Constants: the frequency filter keeps |k| <= GAMMA N/2 (GAMMA = 1/3);
+    every frozen operator uses the paradifferential cutoff CutoffProfile().
 
     cg_tol is the true relative pair-norm residual at which every HUM
     solve (HumProblem._solve) stops.  krylov_tol is the relative residual
@@ -63,19 +70,12 @@ class ControlSetup:
     steps: int
     phi: np.ndarray = None          # spatial cutoff values; None = full observation
     chi: object = "plateau"         # "plateau" | "full" | callable t -> value
-    gamma: float = 1.0 / 3.0
     cg_tol: float = 1e-10
     cg_max_iter: int = None
-    mu: float = 0.0
     tol_terminal: float = 1e-6
     krylov_tol: float = 1e-11
-    cutoff: CutoffProfile = field(default_factory=CutoffProfile)
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0,1], got {self.gamma}")
-        if self.mu < 0.0:
-            raise ValueError("penalty mu must be >= 0")
         if self.phi is not None:
             self.phi = np.asarray(self.phi, dtype=float)
             if self.phi.shape != self.grid.shape:
@@ -114,8 +114,8 @@ class ControlSetup:
 
     @property
     def filter_mask(self):
-        """Modes |k| <= gamma * N/2 (the discrete coercive subspace)."""
-        return self.grid.abs2 <= (self.gamma * self.grid.n / 2.0) ** 2
+        """Modes |k| <= GAMMA * N/2 (the discrete coercive subspace)."""
+        return self.grid.abs2 <= (GAMMA * self.grid.n / 2.0) ** 2
 
     def filter_data(self, x):
         """x reshaped to the grid with the modes outside filter_mask zeroed."""
@@ -132,18 +132,6 @@ class HumSolveReport:
     converged: bool = False
     extras: dict = field(default_factory=dict)
 
-    def as_text(self):
-        lines = [
-            f"cg_iterations={self.iterations}",
-            f"final_residual={self.residual:.6e}",
-            f"rayleigh_min={self.rayleigh_min:.6e}",
-            f"rayleigh_max={self.rayleigh_max:.6e}",
-            f"terminal_norm={self.terminal_norm:.6e}",
-            f"converged={self.converged}",
-        ]
-        lines += [f"{k}={v}" for k, v in self.extras.items()]
-        return "\n".join(lines) + "\n"
-
 
 def _pair_inner(x, y):
     return 2.0 * float(np.vdot(y, x).real)
@@ -159,14 +147,13 @@ class HumProblem:
     """HUM operators over one frozen background trajectory.
 
     frozen=None means the zero background (free flow, diagonal fast path).
-    sign=-1 builds the machinery for the time-reversed equation.
-    dealias=True builds the frozen-with-remainder system from the dealiased
-    nonlinear equation (FrozenProgram's dealias); the simplified system, and
-    with it the Gramian, is the same either way.
+    sign=-1 builds the machinery for the time-reversed equation.  The
+    frozen-with-remainder system is that of the dealiased equation that
+    evolve_nonlinear integrates (FrozenProgram).
     """
 
     def __init__(self, setup: ControlSetup, nl: Nonlinearity, frozen: Trajectory = None,
-                 sign=1.0, dealias=False):
+                 sign=1.0):
         self.setup = setup
         self.sign = float(sign)
         self.grid = setup.grid
@@ -179,10 +166,10 @@ class HumProblem:
             self.simp = FreeProgram(self.grid, self.tg, sign=self.sign)
             self.rem = self.simp
         else:
-            self.simp = FrozenProgram(frozen, nl, setup.cutoff, kind="frozen_simplified",
+            self.simp = FrozenProgram(frozen, nl, CutoffProfile(), kind="frozen_simplified",
                                       sign=self.sign)
-            self.rem = FrozenProgram(frozen, nl, setup.cutoff, kind="frozen_with_remainder",
-                                     sign=self.sign, dealias=dealias)
+            self.rem = FrozenProgram(frozen, nl, CutoffProfile(), kind="frozen_with_remainder",
+                                     sign=self.sign)
         self.adj = self.simp.adjoint_program()
         self._chi = setup.chi_mid
 
@@ -214,14 +201,12 @@ class HumProblem:
     # -- Gramian -------------------------------------------------------------
 
     def hum_apply(self, v0, return_trajectory=False):
-        """K v0 = -R(chi^2 phi^2 S v0) (+ mu v0), on coefficient arrays."""
+        """K v0 = -R(chi^2 phi^2 S v0), on coefficient arrays."""
         sol = self.solution_op(v0)
         G = [(self._chi[n] ** 2) * self.mult_phi(sol.midpoints[n], power=2)
              for n in range(self.tg.steps)]
         u0, traj = self.range_op(G)
         out = -u0.u.coeffs
-        if self.setup.mu > 0.0:
-            out = out + self.setup.mu * np.asarray(v0, dtype=complex).reshape(self.grid.shape)
         if return_trajectory:
             return out, sol, traj
         return out
@@ -233,9 +218,6 @@ class HumProblem:
         for n in range(self.tg.steps):
             pv = self.mult_phi(sol.midpoints[n])
             total += self.tg.dt * (self._chi[n] ** 2) * _pair_inner(pv.ravel(), pv.ravel())
-        if self.setup.mu > 0.0:
-            v = np.asarray(v0, dtype=complex).ravel()
-            total += self.setup.mu * _pair_inner(v, v)
         return total
 
     def duality_check(self, F_mids, V0):
@@ -275,7 +257,7 @@ class HumProblem:
         if bn == 0.0:
             return np.zeros_like(b), HumSolveReport(converged=True, extras={"true_residual": 0.0})
         chol = _free_gramian_factor(self.grid, self.sign, self.tg.dt, self._chi.tobytes(),
-                                    st.phi_values.tobytes(), st.mu)
+                                    st.phi_values.tobytes())
         x, its, r = _gmres_real(lambda v: apply_fn(v.reshape(self.grid.shape)).ravel(),
                                 lambda z: cho_solve(chol, z), b, st.cg_tol, st.cg_budget)
         self.cg_iterations += its
@@ -299,16 +281,15 @@ class HumProblem:
         return [self.sign * (-1j) * self._chi[n] * self.mult_phi(sol.midpoints[n])
                 for n in range(self.tg.steps)]
 
-    def control_op(self, U_in, verify=True):
+    def control_op(self, U_in):
         """Null control of the simplified system; returns (F_mids, v0, report)."""
         v0, rep = self.hum_invert(U_in)
         F = self.control_from_v0(v0)
-        if verify:
-            traj = self.controlled_solve(self.filter_data(U_in), F)
-            tnorm = _pair_norm(traj.terminal.u.coeffs)
-            rep.terminal_norm = tnorm / max(_pair_norm(_as_coeffs(self.grid, U_in)), 1e-300)
-            if rep.terminal_norm > self.setup.tol_terminal:
-                rep.extras["terminal_failure"] = True
+        traj = self.controlled_solve(self.filter_data(U_in), F)
+        tnorm = _pair_norm(traj.terminal.u.coeffs)
+        rep.terminal_norm = tnorm / max(_pair_norm(_as_coeffs(self.grid, U_in)), 1e-300)
+        if rep.terminal_norm > self.setup.tol_terminal:
+            rep.extras["terminal_failure"] = True
         return F, v0, rep
 
     # -- remainder-perturbed layer --------------------------------------------
@@ -337,13 +318,14 @@ class HumProblem:
     def free_gramian(self):
         """K0, the zero-background Gramian, dense on the flattened coefficients."""
         return _free_gramian(self.grid, self.sign, self.tg.dt, self._chi,
-                             self.setup.phi_values, self.setup.mu)
+                             self.setup.phi_values)
 
     def control_op_P(self, U_in):
         """Null control of the full paralinearized system: L_P = L (Id+E)^-1.
 
         With Z0 = K v0, (Id+E) Z0 = U_in is the linear system (K + E K) v0 = U_in,
-        solved by _solve to the true relative residual cg_tol.
+        solved by _solve to the true relative residual cg_tol.  Returns (F_mids,
+        the verifying forward trajectory of the frozen system, report).
         """
         b = self.filter_data(_as_coeffs(self.grid, U_in))
 
@@ -357,7 +339,7 @@ class HumProblem:
         rep.terminal_norm = _pair_norm(traj.terminal.u.coeffs) / max(_pair_norm(b), 1e-300)
         if rep.terminal_norm > self.setup.tol_terminal:
             rep.extras["terminal_failure"] = True
-        return F, rep
+        return F, traj, rep
 
     # -- observability ---------------------------------------------------------
 
@@ -401,12 +383,12 @@ class HumProblem:
         return c_min, worst_mode, report
 
 
-def _free_gramian(grid, sign, dt, chi, phi, mu):
+def _free_gramian(grid, sign, dt, chi, phi):
     """K0, the zero-background Gramian, dense and Fortran-ordered, in closed form.
 
     Mode k advances by (1 + a d_k) / (1 - a d_k) per step (a = dt/2,
     d_k = -i sign |k|^2); with w_nk its midpoint sample from a unit datum,
-    K0[j, k] = (phi^2)^[j - k] sum_n 2 a chi_n^2 conj(w_nj) w_nk (+ mu delta_jk),
+    K0[j, k] = (phi^2)^[j - k] sum_n 2 a chi_n^2 conj(w_nj) w_nk,
     Hermitian, in O(steps N^2d) operations.  The gather runs N^(d-1) rows at a time.
     """
     a, d = 0.5 * dt, -1j * sign * grid.abs2.ravel()
@@ -415,15 +397,14 @@ def _free_gramian(grid, sign, dt, chi, phi, mu):
     phi2, pos = grid.coeffs_from_values(phi ** 2), np.indices(grid.shape).reshape(grid.dim, -1)
     for rows in np.split(np.arange(grid.size), grid.n):
         K0[rows] *= phi2[tuple((p[rows, None] - p) % grid.n for p in pos)]
-    K0[np.diag_indices_from(K0)] += mu
     return K0
 
 
 @lru_cache(maxsize=2)
-def _free_gramian_factor(grid, sign, dt, chi_bytes, phi_bytes, mu):
+def _free_gramian_factor(grid, sign, dt, chi_bytes, phi_bytes):
     """cho_factor of K0 in place, keyed on K0's data: built once, not per Picard round."""
     chi, phi = np.frombuffer(chi_bytes), np.frombuffer(phi_bytes).reshape(grid.shape)
-    return cho_factor(_free_gramian(grid, sign, dt, chi, phi, mu), overwrite_a=True)
+    return cho_factor(_free_gramian(grid, sign, dt, chi, phi), overwrite_a=True)
 
 
 def _pair_norm(x):

@@ -108,11 +108,6 @@ class PairOp:
     def identity(cls, grid):
         return cls(grid, sp.identity(grid.size, dtype=complex, format="csr"))
 
-    @classmethod
-    def zero(cls, grid):
-        n = grid.size
-        return cls(grid, sp.csr_matrix((n, n), dtype=complex))
-
     def _mult_apply(self, xz, xc):
         g = self.grid
         xz, xc = xz.reshape(g.shape), xc.reshape(g.shape)

@@ -62,32 +62,30 @@ def _mids_diff_norm(a, b, grid, s):
 
 
 def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
-                 max_iter=12, tol=1e-9, sign=1.0, s=None,
-                 replay=True, dealias=True):
+                 max_iter=12, tol=1e-9, sign=1.0, replay=True):
     """Picard iteration for nonlinear null control.
 
     U^0 = 0, F^0 = 0; each round freezes coefficients at U^n, builds the
-    perturbed control operator, and re-solves the frozen system with the new
-    control from the same initial datum.  The frozen-with-remainder system
-    is that of the equation the replay integrates (dealiased when dealias
-    is on), so the Picard fixed point solves that equation.
+    perturbed control operator and takes U^{n+1}, the frozen system under
+    the new control from the same initial datum, from its verification.
+    The frozen system is that of the dealiased equation the replay
+    integrates, so the Picard fixed point solves that equation.
 
-    Stops when du, the C^0 H^{s-2} difference of successive iterates, falls
-    to tol * scale, scale being the datum's norm.  The inner solves are
-    tightened so that each stopping rule sits above the floor of the solves
-    nested inside it: the round's GMRES solve (control_op_P) runs to
+    With s = d/2 + 2.5, stops when du, the C^0 H^{s-2} difference of
+    successive iterates, falls to tol * scale, scale being the datum's norm.
+    The inner solves are tightened so that each stopping rule sits above the
+    floor of the solves nested inside it: the round's GMRES solve
+    (control_op_P) runs to
     cg_tol = min(setup.cg_tol, tol/10), the step solves to
     min(setup.krylov_tol, cg_tol/100); neither is looser than the setup's.
     du below cg_tol * scale is noise of the inner solves; the stop test
     comes first, so a rise of du counts only while du is above the target,
     a decade above that floor.  Two consecutive counted rises raise
     ControlError with the ledger attached.  The converged control is
-    finally replayed through the full nonlinear equation (dealiased when
-    dealias is on).
+    finally replayed through the full nonlinear equation (evolve_nonlinear).
     """
     grid = setup.grid
-    if s is None:
-        s = grid.dim / 2.0 + 2.5
+    s = grid.dim / 2.0 + 2.5
     tg = setup.timegrid
     cg_tol = min(setup.cg_tol, 0.1 * tol)
     inner = replace(setup, cg_tol=cg_tol, krylov_tol=min(setup.krylov_tol, 0.01 * cg_tol))
@@ -103,9 +101,8 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
     it = 0
     for it in range(1, max_iter + 1):
         frozen = None if it == 1 else U_curr
-        prob = HumProblem(inner, nl, frozen=frozen, sign=sign, dealias=dealias)
-        F, rep = prob.control_op_P(u_hat)
-        U_new = prob.controlled_solve(u_hat, F, with_remainder=True)
+        prob = HumProblem(inner, nl, frozen=frozen, sign=sign)
+        F, U_new, rep = prob.control_op_P(u_hat)
         du = _mids_diff_norm(U_new.states, U_curr.states, grid, s - 2)
         df = _mids_diff_norm(F, F_curr, grid, s - 2)
         ratio = du / prev_du if (prev_du is not None and prev_du > 0) else np.nan
@@ -133,7 +130,7 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
         replay_traj = evolve_nonlinear(
             grid, tg, nl, u_hat,
             control=(setup.chi_mid, setup.phi_values, F),
-            sign=sign, dealias=dealias, krylov_tol=setup.krylov_tol)
+            sign=sign, krylov_tol=setup.krylov_tol)
         terminal_ratio = (sobolev_norm(replay_traj.terminal.u, s)
                           / max(sobolev_norm(SpectralField(grid, u_hat), s), 1e-300))
         if terminal_ratio > setup.tol_terminal:
@@ -156,29 +153,27 @@ class ExactControlResult:
 
 
 def exact_control(u_in: SpectralField, u_end: SpectralField, nl: Nonlinearity,
-                  setup: ControlSetup, s=None, **null_kw):
+                  setup: ControlSetup, **null_kw):
     """Steer u_in to u_end: null-control u_in forward on [0, T/2], null-control
     u_end through the time-reversed equation on [0, T/2], glue
 
         U(t) = W(t) on [0,T/2],  V(T-t) on (T/2,T],
         F(t) = chi_{T/2}(t) F_W(t) resp. chi_{T/2}(T-t) F_V(T-t),
 
-    and verify by a nonlinear replay of the glued control over [0, T].
-    null_kw go to both null_control calls; their dealias also selects the
-    equation of the glued replay, so the halves control the equation that
-    the replay integrates.
+    and verify by a nonlinear replay of the glued control over [0, T], whose
+    terminal error is measured in H^s, s = d/2 + 2.5.  null_kw go to both
+    null_control calls.
     """
     grid = setup.grid
-    if s is None:
-        s = grid.dim / 2.0 + 2.5
+    s = grid.dim / 2.0 + 2.5
     if setup.steps % 2:
         raise ValueError("exact control needs an even number of steps")
     half_steps = setup.steps // 2
     half = replace(setup, T=setup.T / 2.0, steps=half_steps, chi="plateau")
 
     null_kw.setdefault("replay", False)  # the glued replay is the verdict
-    fwd = null_control(u_in, nl, half, s=s, sign=1.0, **null_kw)
-    bwd = null_control(u_end, nl, half, s=s, sign=-1.0, **null_kw)
+    fwd = null_control(u_in, nl, half, sign=1.0, **null_kw)
+    bwd = null_control(u_end, nl, half, sign=-1.0, **null_kw)
 
     chi_half = chi_plateau(setup.T / 2.0)
     tg = TimeGrid(0.0, setup.T, setup.steps)
@@ -195,8 +190,7 @@ def exact_control(u_in: SpectralField, u_end: SpectralField, nl: Nonlinearity,
     u_end_f = setup.filter_data(u_end.coeffs)
     replay = evolve_nonlinear(grid, tg, nl, u_in_f,
                               control=(np.ones(setup.steps), setup.phi_values, F),
-                              sign=1.0, dealias=null_kw.get("dealias", True),
-                              krylov_tol=setup.krylov_tol)
+                              sign=1.0, krylov_tol=setup.krylov_tol)
     scale = max(sobolev_norm(SpectralField(grid, u_in_f), s)
                 + sobolev_norm(SpectralField(grid, u_end_f), s), 1e-300)
     terminal_error = sobolev_norm(

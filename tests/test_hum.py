@@ -6,9 +6,8 @@ import pytest
 
 from torusctrl.evolve import TimeGrid, Trajectory, evolve_linear, evolve_nonlinear
 from torusctrl.geometry import Strip, ControlRegion, build_cutoffs, TWO_PI
-from torusctrl.hum import (ControlSetup, HumError, HumProblem, HumSolveReport,
-                           chi_plateau)
-from torusctrl.model import Nonlinearity
+from torusctrl.hum import ControlSetup, HumError, HumProblem, chi_plateau
+from torusctrl.model import Nonlinearity, full_nonlinear_rhs
 from torusctrl.spectral import (PairState, SpectralField, TorusGrid,
                                 pair_scalar_product_H0, sobolev_norm)
 
@@ -203,11 +202,11 @@ def test_control_op_zero_and_support():
     grid = TorusGrid(2, 16)
     st = strip_setup(grid, steps=24, cg_tol=1e-9, tol_terminal=1e-5)
     prob = HumProblem(st, NL)
-    F, v0, rep = prob.control_op(np.zeros(grid.shape, dtype=complex), verify=False)
+    F, v0, rep = prob.control_op(np.zeros(grid.shape, dtype=complex))
     assert all(np.max(np.abs(f)) == 0.0 for f in F)
     # support: F(t, .) vanishes exactly where phi does
     U_in = prob.filter_data(small_pair(grid, rng, amp=1e-2).u.coeffs)
-    F, v0, rep = prob.control_op(U_in, verify=False)
+    F, v0, rep = prob.control_op(U_in)
     dead = st.phi == 0.0
     for f in F[:: max(st.steps // 6, 1)]:
         vals = grid.values_from_coeffs(f)
@@ -247,7 +246,7 @@ def test_perturbed_control_layer(background):
             v = prob.filter_data(random_field(grid, rng).coeffs)
             EKv, Kv = prob.perturbation_E(v)
             assert np.linalg.norm(EKv) <= 0.5 * np.linalg.norm(Kv)
-    F, rep = prob.control_op_P(U_in)
+    F, _, rep = prob.control_op_P(U_in)
     assert rep.terminal_norm <= 1e-5
     assert "terminal_failure" not in rep.extras
 
@@ -361,13 +360,12 @@ def test_perturbation_E_matches_explicit_composition():
 
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("mu", [0.0, 1e-3])
-def test_free_gramian_is_the_zero_background_gramian(n, sign, mu):
+def test_free_gramian_is_the_zero_background_gramian(n, sign):
     # the closed form K0 against hum_apply on the free background; measured
     # agreement 1e-15 relative
     rng = np.random.default_rng(85)
     grid = TorusGrid(2, n)
-    st = strip_setup(grid, steps=24, mu=mu)
+    st = strip_setup(grid, steps=24)
     prob = HumProblem(st, NL, sign=sign)
     K0 = prob.free_gramian
     assert np.max(np.abs(K0 - K0.conj().T)) <= 1e-14 * np.max(np.abs(K0))
@@ -422,13 +420,21 @@ def test_observability_constant_raises_on_unconverged_inner_solve():
         HumProblem(st, NL).observability_constant()
 
 
-def test_report_text_format():
-    rep = HumSolveReport(iterations=3, residual=1e-11, rayleigh_min=0.1,
-                         rayleigh_max=0.9, terminal_norm=1e-7, converged=True)
-    txt = rep.as_text()
-    assert "cg_iterations=3" in txt and "converged=True" in txt
-    for line in txt.strip().splitlines():
-        assert "=" in line
+def test_every_hum_problem_controls_the_replayed_equation():
+    # the frozen-with-remainder system of a HumProblem at U, applied to U, is
+    # the dealiased nonlinear RHS that evolve_nonlinear integrates (measured
+    # <= 2.3e-23 relative; an undealiased system misses it by 1.7e-9 to
+    # 6.4e-8 on these draws)
+    rng = np.random.default_rng(88)
+    grid = TorusGrid(2, 16)
+    st = full_setup(grid, T=0.1, steps=2)
+    for _ in range(3):
+        U = small_pair(grid, rng, amp=1e-2, modes=4)
+        prob = HumProblem(st, NL, frozen=constant_background(grid, st.timegrid, U))
+        want = full_nonlinear_rhs(U.u, NL, dealias=True)
+        got = prob.rem.step_op(0).apply(U.u.coeffs.ravel()).reshape(grid.shape)
+        assert (sobolev_norm(SpectralField(grid, got) - want, 0.0)
+                <= 1e-12 * sobolev_norm(want, 0.0))
 
 
 def test_chi_plateau_profile():

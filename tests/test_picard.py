@@ -107,9 +107,9 @@ def test_ledger_counts_every_cg_iteration_of_a_round(monkeypatch):
     solve = HumProblem.control_op_P
 
     def counted(self, *args, **kw):
-        F, rep = solve(self, *args, **kw)
+        F, traj, rep = solve(self, *args, **kw)
         reported.append(rep.iterations)
-        return F, rep
+        return F, traj, rep
     monkeypatch.setattr(HumProblem, "control_op_P", counted)
     res = null_control(u0, NL, st, max_iter=2, tol=1e-8, replay=False)
     assert len(res.ledger.records) == 2
