@@ -139,7 +139,7 @@ def diagonal_defect(U: PairState, W: PairState, nl: Nonlinearity, cutoff: Cutoff
     co = compute_coefficients(U, nl)
     if phi is None:
         phi = build_phi(U, nl, cutoff)
-    iA = 1j * assemble_A_from_coeffs(co, cutoff)
+    iA = assemble_A_from_coeffs(co, cutoff, 1j)
     iD = 1j * _diag_target_pairop(co, cutoff)
     w = W.u.coeffs.ravel()
     conj_part = phi.forward.apply(iA.apply(phi.inverse.apply(w)))

@@ -83,13 +83,6 @@ def zero_trajectory(grid: TorusGrid, tg: TimeGrid) -> Trajectory:
                       [z.copy() for _ in range(tg.steps)])
 
 
-def reverse_time(traj: Trajectory) -> Trajectory:
-    """Snapshot order reversed, time stamps mapped t -> (t0+t1) - t."""
-    return Trajectory(traj.grid, traj.tg,
-                      [s.copy() for s in reversed(traj.states)],
-                      [m.copy() for m in reversed(traj.midpoints)])
-
-
 # ---------------------------------------------------------------------------
 # generator programs
 
@@ -142,9 +135,7 @@ class FrozenProgram:
         else:
             bg = self.frozen.mid_background(n)
             co = compute_coefficients(PairState(SpectralField(self.grid, bg)), self.nl)
-            op = 1j * assemble_A_from_coeffs(co, self.cutoff)
-            if self.sign != 1.0:
-                op = self.sign * op
+            op = assemble_A_from_coeffs(co, self.cutoff, 1j * self.sign)
         self._cache[n] = op
         return op
 

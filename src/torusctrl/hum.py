@@ -14,11 +14,13 @@ remainder-perturbed control (control_op_P) and the inner P K P solves of
 observability_constant.  HUM by Krylov iteration in the pair product
 follows Glowinski-Lions-He (CUP 2008); GMRES is Saad-Schultz (SISC 7, 1986).
 
-The controlled simplified trajectory S_P Z0 (Z(0) = Z0, Z(T) = 0) is the
-backward solve with source -chi^2 phi^2 S v0, v0 = K^-1 Z0: exactly minus
-the range trajectory that hum_apply(v0) already computes.  The step solves
-are odd in their data, so perturbation_E applies R(U) to that trajectory and
-negates the result, which gives E K v0 with no second backward solve.
+K + E K costs one Gramian application.  With G = chi^2 phi^2 S v0, let Z
+be the simplified backward solve of G and Y the remainder backward solve of
+R(U) Z at the midpoints, so that E K v0 = -Y(0).  The implicit midpoint rule
+is linear and the remainder step operator is the simplified one plus R(U)
+at every midpoint, so Z + Y is the remainder backward solve of G:
+(K + E K) v0 = -R_rem(G)(0), one adjoint and one backward sweep
+(hum_apply(v0, with_remainder=True)).
 """
 
 from __future__ import annotations
@@ -200,16 +202,17 @@ class HumProblem:
 
     # -- Gramian -------------------------------------------------------------
 
-    def hum_apply(self, v0, return_trajectory=False):
-        """K v0 = -R(chi^2 phi^2 S v0), on coefficient arrays."""
-        sol = self.solution_op(v0)
+    def hum_apply(self, v0, with_remainder=False):
+        """K v0 = -R(chi^2 phi^2 S v0), on coefficient arrays; with_remainder,
+        (K + E K) v0 = -R_rem(chi^2 phi^2 S v0) (module docstring)."""
+        return self._range_of_observation(self.solution_op(v0), with_remainder)
+
+    def _range_of_observation(self, sol, with_remainder=False):
+        """-R(chi^2 phi^2 S v0)(0), or -R_rem(...)(0), from the adjoint flow sol = S v0."""
         G = [(self._chi[n] ** 2) * self.mult_phi(sol.midpoints[n], power=2)
              for n in range(self.tg.steps)]
-        u0, traj = self.range_op(G)
-        out = -u0.u.coeffs
-        if return_trajectory:
-            return out, sol, traj
-        return out
+        u0, _ = self.range_op(G, with_remainder)
+        return -u0.u.coeffs
 
     def gramian_quadratic(self, v0):
         """The right side of positivity: int chi^2 ||phi S v0||^2 dt (pair norm)."""
@@ -295,24 +298,15 @@ class HumProblem:
     # -- remainder-perturbed layer --------------------------------------------
 
     def perturbation_E(self, v0):
-        """(E K v0, K v0) from one hum_apply(v0), E = R_P R(U) S_P.
+        """(E K v0, K v0), E = R_P R(U) S_P, from one adjoint sweep.
 
-        S_P K v0 is minus the range trajectory of hum_apply(v0) (module
-        docstring); the minus is taken on the result.  R(U) at midpoint n is
-        (frozen with remainder) - (simplified), applied as the difference of
-        the two programs' step operators, which they build once; E = 0 at
-        the zero background.
+        E K v0 = (K + E K) v0 - K v0 (module docstring): the simplified and
+        the remainder backward solves of one source.  E = 0 exactly at the
+        zero background, where the two programs are one.
         """
-        Kv, _, traj = self.hum_apply(v0, return_trajectory=True)
-        if isinstance(self.simp, FreeProgram):
-            return np.zeros_like(Kv), Kv
-        G = []
-        for n, m in enumerate(traj.midpoints):
-            m = m.ravel()
-            G.append((self.rem.step_op(n).apply(m) - self.simp.step_op(n).apply(m))
-                     .reshape(self.grid.shape))
-        u0, _ = self.range_op(G, with_remainder=True)
-        return -u0.u.coeffs, Kv
+        sol = self.solution_op(v0)
+        Kv = self._range_of_observation(sol)
+        return self._range_of_observation(sol, with_remainder=True) - Kv, Kv
 
     @property
     def free_gramian(self):
@@ -324,17 +318,19 @@ class HumProblem:
         """Null control of the full paralinearized system: L_P = L (Id+E)^-1.
 
         With Z0 = K v0, (Id+E) Z0 = U_in is the linear system (K + E K) v0 = U_in,
-        solved by _solve to the true relative residual cg_tol.  Returns (F_mids,
-        the verifying forward trajectory of the frozen system, report).
+        solved by _solve to the true relative residual cg_tol, each application
+        hum_apply(v, with_remainder=True).  Returns (F_mids, the verifying
+        forward trajectory of the frozen system, report); report.extras
+        ["E_ratio"] is ||E K v0|| / ||K v0|| (pair norms), the smallness of E
+        on which the inverse (Id+E)^-1 rests.
         """
         b = self.filter_data(_as_coeffs(self.grid, U_in))
-
-        def apply(v):
-            EKv, Kv = self.perturbation_E(v)
-            return Kv + EKv
-
-        v0, rep = self._solve(apply, b, "(K + E K) v0 = U_in")
-        F = self.control_from_v0(v0.reshape(self.grid.shape))
+        v0, rep = self._solve(lambda v: self.hum_apply(v, with_remainder=True), b,
+                              "(K + E K) v0 = U_in")
+        v0 = v0.reshape(self.grid.shape)
+        EKv, Kv = self.perturbation_E(v0)
+        rep.extras["E_ratio"] = _pair_norm(EKv) / max(_pair_norm(Kv), 1e-300)
+        F = self.control_from_v0(v0)
         traj = self.controlled_solve(b, F, with_remainder=True)
         rep.terminal_norm = _pair_norm(traj.terminal.u.coeffs) / max(_pair_norm(b), 1e-300)
         if rep.terminal_norm > self.setup.tol_terminal:

@@ -144,42 +144,42 @@ def s_matrix(coeffs: CoefficientSet):
 # the paralinearized operator A(U)
 
 
-def a_symbols(coeffs: CoefficientSet):
-    """Symbols (1+a2)|xi|^2, a1.xi and b2|xi|^2 of the operator A(U)."""
+def a_symbols(coeffs: CoefficientSet, factor=1.0):
+    """Symbols z = -factor ((1+a2)|xi|^2 + a1.xi) on w and c = -factor b2|xi|^2 on
+    cr(w) of factor * A(U).  factor rides on the x-coefficients, so the xi-parts
+    stay the real |xi|^2 and xi_l, whose band weights banded_matrix caches."""
     grid = coeffs.grid
-    d = grid.dim
-    p = TorusSymbol(grid, [
-        SymbolTerm(None, xi_abs2(d)),
-        SymbolTerm(grid.coeffs_from_values(coeffs.a2), xi_abs2(d)),
-    ], order=2.0, is_real=True)
-    r = TorusSymbol(grid, [
-        SymbolTerm(grid.coeffs_from_values(coeffs.a1[a]), xi_component(d, a))
-        for a in range(d)
-    ], order=1.0, is_real=True)
-    q = TorusSymbol(grid, [
-        SymbolTerm(grid.coeffs_from_values(coeffs.b2), xi_abs2(d)),
-    ], order=2.0)
-    return p, r, q
+    d, s = grid.dim, -factor
+
+    def term(values, xi):
+        return SymbolTerm(s * grid.coeffs_from_values(values), xi)
+
+    z = TorusSymbol(grid, [SymbolTerm(None, xi_abs2(d).scaled(s)), term(coeffs.a2, xi_abs2(d))]
+                    + [term(coeffs.a1[a], xi_component(d, a)) for a in range(d)],
+                    order=2.0, is_real=complex(factor).imag == 0.0)
+    c = TorusSymbol(grid, [term(coeffs.b2, xi_abs2(d))], order=2.0)
+    return z, c
 
 
 def assemble_A(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile) -> PairOp:
     """The operator A(U) = -(E Op^BW(A2|xi|^2) + Op^BW(diag(a1.xi))) as a PairOp.
 
     The stored blocks act on the first pair component:
-        (A W)_1 = -Op(p) w - Op(r) w - Op(q) cr(w).
+        (A W)_1 = -Op(p) w - Op(r) w - Op(q) cr(w),
+    p = (1+a2)|xi|^2, r = a1.xi, q = b2|xi|^2.
     """
     _warn_smallness(U)
     coeffs = compute_coefficients(U, nl)
     return assemble_A_from_coeffs(coeffs, cutoff)
 
 
-def assemble_A_from_coeffs(coeffs: CoefficientSet, cutoff: CutoffProfile) -> PairOp:
-    grid = coeffs.grid
-    p, r, q = a_symbols(coeffs)
-    Mp, _ = banded_matrix(p, cutoff)
-    Mr, _ = banded_matrix(r, cutoff)
-    Mq, _ = banded_matrix(q, cutoff)
-    return PairOp(grid, -(Mp + Mr), -Mq)
+def assemble_A_from_coeffs(coeffs: CoefficientSet, cutoff: CutoffProfile,
+                           factor=1.0) -> PairOp:
+    """factor * A(U) from two band gathers: Z = Op(z) and C = Op(c) of a_symbols."""
+    z, c = a_symbols(coeffs, factor)
+    Z, _ = banded_matrix(z, cutoff)
+    C, _ = banded_matrix(c, cutoff)
+    return PairOp(coeffs.grid, Z, C)
 
 
 # pair-||U||_{H^{d/2+2.5}} above which freezing at U warns.  Measured on the
@@ -343,6 +343,4 @@ def remainder_apply(U_frozen: PairState, W: PairState, nl: Nonlinearity,
 
 def remainder_pairop(coeffs: CoefficientSet, cutoff: CutoffProfile) -> PairOp:
     """R(U) as a PairOp (frozen minus i A)."""
-    frozen = assemble_frozen_from_coeffs(coeffs)
-    A = assemble_A_from_coeffs(coeffs, cutoff)
-    return frozen + (-1j) * A
+    return assemble_frozen_from_coeffs(coeffs) + assemble_A_from_coeffs(coeffs, cutoff, -1j)

@@ -19,8 +19,7 @@ A PairOp holds two representations, summed:
 
 - the sparse part (Z, C), CSR matrices: the paradifferential operators
   and Fourier multipliers.  It supports apply, apply_full, compose,
-  transpose_pairing, addition, scalar multiplication, row scaling and
-  diagonal.
+  transpose_pairing, addition, scalar multiplication and diagonal.
 - the multiplication part M, a tuple of MultBlock: sums of grid products
   c(x) * m(D) w (and of c(x) * m(D) cr(w)) followed by an output Fourier
   multiplier, applied by FFTs and never assembled.  It supports all of
@@ -163,20 +162,20 @@ class PairOp:
         return PairOp(g, Z, C)
 
     def transpose_pairing(self):
-        """Transpose with respect to the real pairing 2 Re <u,v> (exact to rounding)."""
+        """Transpose with respect to the real pairing 2 Re <u,v> (exact: entries only move).
+
+        (Z, C) -> (Z^H, P C^T P), P the j -> -j reflection.  P C^T P is taken
+        as ((C P)^T) P: C P and its transpose's right factor P relabel column
+        indices, so the only reordering is the one CSR transpose.
+        """
         g = self.grid
-        Zt = self.Z.conj().T.tocsr()
+        Zt = self.Z.T.tocsr()
+        np.conj(Zt.data, out=Zt.data)
         Ct = None
         if self.C is not None:
             p = g.reflect_perm_flat
-            Ct = self.C.T.tocsr()[p][:, p]
+            Ct = _columns_relabelled(_columns_relabelled(self.C, p).T.tocsr(), p)
         return PairOp(g, Zt, Ct, [t for b in self.mult for t in b.transposed(g)])
-
-    def row_scaled(self, r):
-        """diag(r) L: every output row k multiplied by r[k] (r grid-shaped)."""
-        R = sp.diags(np.ravel(r))
-        C = None if self.C is None else R @ self.C
-        return PairOp(self.grid, R @ self.Z, C, [b.scaled(r) for b in self.mult])
 
     def __add__(self, other):
         C = None
@@ -190,8 +189,8 @@ class PairOp:
         return self + (-1.0) * other
 
     def __rmul__(self, scalar):
-        C = None if self.C is None else scalar * self.C
-        return PairOp(self.grid, scalar * self.Z, C, [b.scaled(scalar) for b in self.mult])
+        C = None if self.C is None else _scaled(self.C, scalar)
+        return PairOp(self.grid, _scaled(self.Z, scalar), C, [b.scaled(scalar) for b in self.mult])
 
 
 class DiagonalOp:
@@ -208,6 +207,16 @@ class DiagonalOp:
         # real-pairing transpose of a complex-linear operator is the complex
         # adjoint, i.e. the conjugate multiplier
         return DiagonalOp(self.grid, np.conj(self.d))
+
+
+def _scaled(M, s):
+    """s M for a CSR matrix M, sharing its index arrays (no operator here changes them)."""
+    return sp.csr_matrix((s * M.data, M.indices, M.indptr), shape=M.shape)
+
+
+def _columns_relabelled(M, p):
+    """M P for a CSR matrix M and an involutive permutation p: column k becomes column p[k]."""
+    return sp.csr_matrix((M.data, p[M.indices], M.indptr), shape=M.shape)
 
 
 def _nnz(M):

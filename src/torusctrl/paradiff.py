@@ -12,8 +12,9 @@ Bony-Weyl variant weights each entry by chi(|j-k| / (eps <j+k>)).
 One kernel, banded_matrix, does all quantization.  The band (every (j, k)
 with chi != 0 and j - k off the Nyquist row), xi = (j+k)/2 and chi do not
 depend on the symbol, so they are computed once per (grid, cutoff) on first
-use and cached; a symbol's matrix is then one gather c_hat[j-k] P(xi) chi
-(or table[j-k, j+k] chi) over that pattern, and weyl_quantize and
+use and cached, as is each xi-polynomial's weight P(xi) chi over the band; a
+symbol's matrix is then one gather c_hat[j-k] P(xi) chi (or
+table[j-k, j+k] chi) over that pattern, and weyl_quantize and
 bony_weyl_quantize apply it.  Coefficient modes below 1e-14 of a term's
 largest are dropped.  Contributions whose output frequency j leaves the
 resolved lattice are dropped and counted, never wrapped.
@@ -214,7 +215,8 @@ class _BandPattern:
     counts the contributions of mode m that leave the lattice (0 on the
     Nyquist row, whose modes are never gathered: m_a = -N/2 has no partner
     +N/2 on the lattice, so gathering it would break the exact Hermitian
-    symmetry of real-symbol quantizations).  The arrays are read-only.
+    symmetry of real-symbol quantizations).  The arrays are read-only, as
+    are the polynomial weights that weight() caches.
     """
 
     def __init__(self, dim, n, epsilon):
@@ -249,6 +251,19 @@ class _BandPattern:
         for a in (self.indices, self.indptr, self.mode, self.pair, self.chi, self.diag,
                   self.lost) + self.xi:
             a.flags.writeable = False
+        self._weights = {}
+
+    def weight(self, poly):
+        """P(xi) chi per band entry, computed on first use per polynomial;
+        float64 for a real P (as the solver's |xi|^2 and xi_l), complex otherwise."""
+        key = tuple(sorted(poly.terms.items()))
+        w = self._weights.get(key)
+        if w is None:
+            w = poly(self.xi) * self.chi
+            w = np.ascontiguousarray(w.real if poly.is_real() else w)
+            w.flags.writeable = False
+            self._weights[key] = w
+        return w
 
 
 @lru_cache(maxsize=None)
@@ -266,9 +281,11 @@ def banded_matrix(sym: TorusSymbol, cutoff: CutoffProfile | None = None):
         sum_t c_hat_t[j-k] P_t((j+k)/2) chi    (separable terms),
         table[j-k, j+k] chi                    (the tabulated part),
 
-    and P_t(j) on the diagonal for the x-independent terms.  Per separable
-    term, coefficient modes below 1e-14 max|c_hat_t| are zeroed first;
-    entries to which no term contributes a nonzero stay out of the matrix.
+    and P_t(j) on the diagonal for the x-independent terms.  The weights
+    P_t chi come from the pattern's cache (_BandPattern.weight), so a call
+    evaluates no polynomial on the band.  Per separable term, coefficient
+    modes below 1e-14 max|c_hat_t| are zeroed first; entries to which no
+    term contributes a nonzero stay out of the matrix.
     With a cutoff the band is |j-k| < 1.9 eps <j+k> (chi vanishes exactly
     beyond).  Contributions leaving the lattice are dropped, never wrapped,
     and their number is returned and added to sym.truncated.  Every call
@@ -286,11 +303,11 @@ def banded_matrix(sym: TorusSymbol, cutoff: CutoffProfile | None = None):
             continue
         c = term.coeff.ravel().copy()
         c[np.abs(c) < _PRUNE_REL * np.max(np.abs(c))] = 0.0
-        dropped += int(pat.lost[c != 0.0].sum())
-        v = term.xi(pat.xi) * pat.chi
-        cm = c[pat.mode]
-        vals += cm * v
-        keep |= (cm != 0.0) & (v != 0.0)
+        live = c != 0.0
+        dropped += int(pat.lost[live].sum())
+        v = pat.weight(term.xi)
+        vals += c[pat.mode] * v
+        keep |= (v != 0.0) if live.all() else live[pat.mode] & (v != 0.0)
     if sym.table is not None:
         tab = sym.table.reshape(grid.size, -1)
         full = _band_pattern(grid.dim, grid.n, None)
@@ -300,9 +317,9 @@ def banded_matrix(sym: TorusSymbol, cutoff: CutoffProfile | None = None):
         v = tab[pat.mode, pat.pair]
         vals += v * pat.chi
         keep |= v != 0.0
-    kept = np.concatenate(([0], np.cumsum(keep)))
-    M = sp.csr_matrix((vals[keep], pat.indices[keep], kept[pat.indptr]),
-                      shape=(grid.size, grid.size))
+    # row starts less the band entries left out before each
+    indptr = pat.indptr - np.searchsorted(np.flatnonzero(~keep), pat.indptr)
+    M = sp.csr_matrix((vals[keep], pat.indices[keep], indptr), shape=(grid.size, grid.size))
     sym.truncated += dropped
     return M, dropped
 

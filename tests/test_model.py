@@ -5,12 +5,14 @@ import pytest
 
 from torusctrl.evolve import _dealias_nonlinear
 from torusctrl.model import (CoefficientSet, Nonlinearity, assemble_A,
-                             assemble_frozen, assemble_frozen_from_coeffs,
+                             assemble_A_from_coeffs, assemble_frozen,
+                             assemble_frozen_from_coeffs,
                              compute_coefficients, dealias_mask,
                              frozen_linear_rhs, frozen_symbol_terms,
                              full_nonlinear_rhs, remainder_apply,
                              remainder_pairop, s_matrix, structure_matrices)
-from torusctrl.paradiff import CutoffProfile, materialize
+from torusctrl.paradiff import (CutoffProfile, SymbolTerm, TorusSymbol, banded_matrix,
+                                materialize, xi_abs2, xi_component)
 from torusctrl.pairops import conj_reflect
 from torusctrl.spectral import (PairState, SpectralField, TorusGrid,
                                 pair_scalar_product_H0, sobolev_norm)
@@ -159,6 +161,23 @@ def test_iA_skew_exact_at_zero_and_structured_defect():
         # conjugate part: bounded by the b2 scale times the top frequency^2
         kmax2 = np.max(grid.abs2)
         assert abs(pair_scalar_product_H0(Xc, V)) <= 4.0 * b2max * kmax2 * nv2
+
+
+@pytest.mark.parametrize("factor", [1.0, 1j, -1j])
+def test_two_gather_A_is_the_three_quantizations(factor):
+    # factor * A(U) from its two band gathers against the three symbols
+    # quantized apart: Z = -factor (Op(p) + Op(r)), C = -factor Op(q)
+    rng = np.random.default_rng(38)
+    grid = TorusGrid(2, 16)
+    co = compute_coefficients(small_pair(grid, rng, amp=1e-2, modes=4), NL)
+    d, c = grid.dim, grid.coeffs_from_values
+    p = TorusSymbol(grid, [SymbolTerm(None, xi_abs2(d)), SymbolTerm(c(co.a2), xi_abs2(d))])
+    r = TorusSymbol(grid, [SymbolTerm(c(co.a1[a]), xi_component(d, a)) for a in range(d)])
+    q = TorusSymbol(grid, [SymbolTerm(c(co.b2), xi_abs2(d))])
+    Mp, Mr, Mq = (banded_matrix(sym, CUT)[0].toarray() for sym in (p, r, q))
+    A = assemble_A_from_coeffs(co, CUT, factor)
+    for got, want in ((A.Z, -factor * (Mp + Mr)), (A.C, -factor * Mq)):
+        assert np.max(np.abs(got.toarray() - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_a1_term_single_mode():
@@ -336,28 +355,34 @@ def test_matrix_free_frozen_matches_dense_reference(dim, dealias):
 @pytest.mark.parametrize("dealias", [False, True])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_matrix_free_pairing_transpose(dim, dealias, sign):
-    # 2 Re <L w, v> = 2 Re <w, L^T v> to rounding
+    # 2 Re <L w, v> = 2 Re <w, L^T v> to rounding, for the frozen generator
+    # and the paradifferential step operator i sign A(U), whose C block at
+    # N=16 reaches the Nyquist rows that the reflection j -> -j fixes
     rng = np.random.default_rng(45)
     grid = TorusGrid(dim, 16)
-    _, _, op = frozen_op(grid, rng, dealias, sign)
-    opT = op.transpose_pairing()
-    for _ in range(3):
-        w = random_field(grid, rng).coeffs.ravel()
-        v = random_field(grid, rng).coeffs.ravel()
-        Lw = op.apply(w)
-        lhs = 2.0 * np.vdot(v, Lw).real
-        rhs = 2.0 * np.vdot(opT.apply(v), w).real
-        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(Lw) * np.linalg.norm(v)
+    _, co, op = frozen_op(grid, rng, dealias, sign)
+    step = assemble_A_from_coeffs(co, CUT, 1j * sign)
+    assert step.C is not None
+    for L in (op, step):
+        LT = L.transpose_pairing()
+        for _ in range(3):
+            w = random_field(grid, rng).coeffs.ravel()
+            v = random_field(grid, rng).coeffs.ravel()
+            Lw = L.apply(w)
+            lhs = 2.0 * np.vdot(v, Lw).real
+            rhs = 2.0 * np.vdot(LT.apply(v), w).real
+            assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(Lw) * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("dealias", [False, True])
 def test_matrix_free_diagonal_is_materialized_diagonal(dealias):
     rng = np.random.default_rng(46)
     grid = TorusGrid(2, 8)
-    U, _, op = frozen_op(grid, rng, dealias)
+    U, co, op = frozen_op(grid, rng, dealias)
     # a sum of a sparse and a multiplication part, as the remainder R(U)
     remainder = op + (-1j) * assemble_A(U, NL, CUT)
-    for L in (op, op.transpose_pairing(), (-0.5) * op, remainder):
+    step_T = assemble_A_from_coeffs(co, CUT, 1j).transpose_pairing()
+    for L in (op, op.transpose_pairing(), (-0.5) * op, remainder, step_T):
         Z, _ = materialize_pair(L, grid)
         d = L.diagonal()
         assert np.max(np.abs(d - np.diag(Z))) <= 1e-14 * np.max(np.abs(Z))
