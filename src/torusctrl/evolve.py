@@ -297,12 +297,9 @@ def _frozen_generator(grid, nl, coeffs, sign):
     return op if sign == 1.0 else sign * op
 
 
-# Midpoint fixed-point passes per nonlinear step.  Two passes reach the
-# step-solve floor at datum amplitude 1e-2 only: they leave a replay - frozen
-# gap of 8.1e-7 at amplitude 1e-1 and 1.9e-4 at 4e-1, where more passes reach
-# 1e-12 and 2e-10 (ROADMAP item 2, which replaces this budget by a
-# convergence test).  A third pass costs the N=32 replay about 45%.
-_NONLINEAR_PASSES = 2
+# Cap on the midpoint fixed-point passes of one nonlinear step (the N=16
+# Picard replay at datum amplitude 4e-1 takes at most 6).
+_NONLINEAR_MAX_PASSES = 12
 
 
 def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
@@ -311,7 +308,10 @@ def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
     (the right-hand side is model.full_nonlinear_rhs with dealias=True).
 
     control, when given, is (chi_mid, phi_values, F_mids) as control_sources
-    takes it.
+    takes it.  Each midpoint equation is solved by passes x_p = (I - a
+    L(x_{p-1}))^-1 rhs from x_0 = U_n, at least two, until the error estimate
+    d_p^2 / (d_{p-1} - d_p), d_p = ||x_p - x_{p-1}||, is below krylov_tol ||x_p||
+    (Hairer-Lubich-Wanner 2006, VIII.6); EvolveError names the d_p otherwise.
     """
     a = 0.5 * tg.dt
     init = _as_coeffs(grid, init)
@@ -323,10 +323,16 @@ def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
         rhs = states[n].ravel()
         if sources is not None:
             rhs = rhs + a * sources[n].ravel()
-        x = states[n].ravel()
-        for _ in range(_NONLINEAR_PASSES):
+        x, d = states[n].ravel(), []
+        for _ in range(_NONLINEAR_MAX_PASSES):
             op = _frozen_generator(grid, nl, x.reshape(grid.shape), sign)
-            x = _solve_shifted(op, a, rhs, krylov_tol)
+            x, x_prev = _solve_shifted(op, a, rhs, krylov_tol), x
+            d.append(np.linalg.norm(x - x_prev))
+            if len(d) > 1 and d[-1] ** 2 <= krylov_tol * np.linalg.norm(x) * (d[-2] - d[-1]):
+                break
+        else:
+            raise EvolveError(f"midpoint passes unconverged at step {n}: ||x_p - x_(p-1)|| "
+                              f"= {np.array(d)}, ||x|| = {np.linalg.norm(x):.3e}")
         _check_finite(x, f"at step {n}")
         mids.append(x.reshape(grid.shape))
         states.append((2.0 * x - states[n].ravel()).reshape(grid.shape))

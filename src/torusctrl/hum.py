@@ -8,11 +8,11 @@ positivity of the Gramian, and the controlled-replay identities all hold to
 Krylov tolerance at every frozen background.
 
 One GMRES in the pair product (HumProblem._solve), preconditioned by the
-closed-form zero-background Gramian K0 (free_gramian), serves every HUM
-system: K v0 = U_in (hum_invert), (K + E K) v0 = U_in for the
-remainder-perturbed control (control_op_P) and the inner P K P solves of
-observability_constant.  HUM by Krylov iteration in the pair product
-follows Glowinski-Lions-He (CUP 2008); GMRES is Saad-Schultz (SISC 7, 1986).
+closed-form zero-background Gramian K0 (free_gramian), serves both HUM
+systems: K v0 = U_in (hum_invert) and (K + E K) v0 = U_in for the
+remainder-perturbed control (control_op_P), but not observability_constant:
+eigvalsh of P K P on the gamma-ball.  HUM by Krylov iteration in the pair
+product follows Glowinski-Lions-He (CUP 2008); GMRES is Saad-Schultz (SISC 7, 1986).
 
 K + E K costs one Gramian application.  With G = chi^2 phi^2 S v0, let Z
 be the simplified backward solve of G and Y the remainder backward solve of
@@ -139,12 +139,6 @@ def _pair_inner(x, y):
     return 2.0 * float(np.vdot(y, x).real)
 
 
-# inverse iteration of observability_constant: round cap and relative
-# settling of the Rayleigh quotient
-_OBS_ITERATIONS = 30
-_OBS_RTOL = 1e-4
-
-
 class HumProblem:
     """HUM operators over one frozen background trajectory.
 
@@ -246,7 +240,7 @@ class HumProblem:
     def _solve(self, apply_fn, b, what):
         """GMRES on apply_fn(x) = b in the pair product; returns (raveled x, HumSolveReport).
 
-        apply_fn (K, K + E K or P K P) takes grid-shaped arrays.  GMRES is
+        apply_fn (K or K + E K) takes grid-shaped arrays.  GMRES is
         left-preconditioned by K0^-1 (free_gramian's cached Cholesky factor;
         K0 = K at the zero background) and stops when the true relative
         residual reaches setup.cg_tol, with setup.cg_budget iterations as the
@@ -312,7 +306,7 @@ class HumProblem:
     def free_gramian(self):
         """K0, the zero-background Gramian, dense on the flattened coefficients."""
         return _free_gramian(self.grid, self.sign, self.tg.dt, self._chi,
-                             self.setup.phi_values)
+                             self.setup.phi_values, np.arange(self.grid.size))
 
     def control_op_P(self, U_in):
         """Null control of the full paralinearized system: L_P = L (Id+E)^-1.
@@ -340,58 +334,55 @@ class HumProblem:
     # -- observability ---------------------------------------------------------
 
     def observability_constant(self):
-        """Smallest Rayleigh quotient of the Gramian on the filtered space.
+        """eigvalsh of P K P on the gamma-ball; K0's block at the zero background.
 
-        Inverse power iteration (at most _OBS_ITERATIONS rounds, until the
-        quotient settles to _OBS_RTOL), each round one _solve of P K P y = x
-        at cg_tol; returns (c_min, worst_mode, report).  c_min below 1e-12
-        flags an observability failure of the discrete problem.  Missing GCC
-        does not make one: on a flat torus Schroedinger is observable from
-        any open set (Jaffard, Portugal. Math. 47, 1990), and c_min levels
-        off in N for one strip and a ball, neither of which satisfies
-        check_gcc.  An unconverged inner solve raises HumError.
+        P K P is pair-self-adjoint on the m modes of filter_mask: in the basis
+        e_j, i e_j its matrix is a symmetric 2m x 2m real block, K0's in closed
+        form at the zero background, 2m hum_apply columns on a frozen one (K is
+        only real-linear there).  Returns (c_min, worst_mode, report): the least
+        eigenvalue, the largest entry of its eigenvector, and the extreme
+        eigenvalues (rayleigh_min/_max) with the block's relative asymmetry
+        before symmetrizing (extras).  c_min below 1e-12 flags an observability
+        failure of the discrete problem.  Missing GCC does not make one: on a
+        flat torus Schroedinger is observable from any open set (Jaffard,
+        Portugal. Math. 47, 1990), and c_min levels off in N for one strip and
+        a ball, neither of which satisfies check_gcc.
         """
-        rng = np.random.default_rng(0)
-
-        def PKP(x):
-            return self.filter_data(self.hum_apply(self.filter_data(x)))
-
-        x = self.filter_data(rng.standard_normal(self.grid.shape)
-                             + 1j * rng.standard_normal(self.grid.shape))
-        x /= _pair_norm(x.ravel())
-        ray_prev = np.inf
-        for _ in range(_OBS_ITERATIONS):
-            y, _ = self._solve(PKP, x, "P K P y = x")
-            y = self.filter_data(y)
-            y /= max(_pair_norm(y.ravel()), 1e-300)
-            Ky = PKP(y)
-            ray = _pair_inner(Ky.ravel(), y.ravel()) / _pair_inner(y.ravel(), y.ravel())
-            settled = abs(ray - ray_prev) <= _OBS_RTOL * max(abs(ray), 1e-300)
-            x, ray_prev = y, ray
-            if settled:
-                break
-        c_min = float(ray_prev)
-        # x is gamma-filtered, so its largest mode lies in the filtered ball
-        worst = np.unravel_index(np.argmax(np.abs(x)), self.grid.shape)
-        worst_mode = tuple(int(self.grid.freq_1d[i]) for i in worst)
-        report = HumSolveReport(rayleigh_min=c_min, extras={
-            "worst_mode": worst_mode, "observability_failure": bool(c_min < 1e-12)})
-        return c_min, worst_mode, report
+        ball = np.flatnonzero(self.setup.filter_mask)
+        if self.rem is self.simp:
+            H = _free_gramian(self.grid, self.sign, self.tg.dt, self._chi,
+                              self.setup.phi_values, ball)
+            block = np.block([[H.real, -H.imag], [H.imag, H.real]])
+        else:
+            g = self.grid
+            KB = np.array([self.hum_apply(unit * np.eye(1, g.size, j).reshape(g.shape))
+                           .ravel()[ball] for unit in (1.0, 1j) for j in ball])
+            block = np.hstack([KB.real, KB.imag]).T
+        lam, vec = np.linalg.eigh(0.5 * (block + block.T))
+        worst = np.abs(vec[:len(ball), 0] + 1j * vec[len(ball):, 0])
+        worst_mode = tuple(int(self.grid.freq_1d[i])
+                           for i in np.unravel_index(ball[np.argmax(worst)], self.grid.shape))
+        report = HumSolveReport(rayleigh_min=lam[0], rayleigh_max=lam[-1], extras={
+            "worst_mode": worst_mode, "observability_failure": bool(lam[0] < 1e-12),
+            "asymmetry": np.linalg.norm(block - block.T) / np.linalg.norm(block)})
+        return float(lam[0]), worst_mode, report
 
 
-def _free_gramian(grid, sign, dt, chi, phi):
-    """K0, the zero-background Gramian, dense and Fortran-ordered, in closed form.
+def _free_gramian(grid, sign, dt, chi, phi, modes):
+    """K0, the zero-background Gramian on the flattened indices modes, dense and
+    Fortran-ordered, in closed form.
 
     Mode k advances by (1 + a d_k) / (1 - a d_k) per step (a = dt/2,
     d_k = -i sign |k|^2); with w_nk its midpoint sample from a unit datum,
     K0[j, k] = (phi^2)^[j - k] sum_n 2 a chi_n^2 conj(w_nj) w_nk,
-    Hermitian, in O(steps N^2d) operations.  The gather runs N^(d-1) rows at a time.
+    Hermitian, in O(steps m^2) operations on m modes, gathered in N slices of rows.
     """
-    a, d = 0.5 * dt, -1j * sign * grid.abs2.ravel()
+    a, d = 0.5 * dt, -1j * sign * grid.abs2.ravel()[modes]
     w = ((1.0 + a * d) / (1.0 - a * d)) ** np.arange(len(chi))[:, None] / (1.0 - a * d)
     K0 = ((w.T * (2.0 * a * chi ** 2)) @ np.conj(w)).T      # w^H c w, Fortran-ordered
-    phi2, pos = grid.coeffs_from_values(phi ** 2), np.indices(grid.shape).reshape(grid.dim, -1)
-    for rows in np.split(np.arange(grid.size), grid.n):
+    phi2 = grid.coeffs_from_values(phi ** 2)
+    pos = np.indices(grid.shape).reshape(grid.dim, -1)[:, modes]
+    for rows in np.array_split(np.arange(len(modes)), grid.n):
         K0[rows] *= phi2[tuple((p[rows, None] - p) % grid.n for p in pos)]
     return K0
 
@@ -400,7 +391,8 @@ def _free_gramian(grid, sign, dt, chi, phi):
 def _free_gramian_factor(grid, sign, dt, chi_bytes, phi_bytes):
     """cho_factor of K0 in place, keyed on K0's data: built once, not per Picard round."""
     chi, phi = np.frombuffer(chi_bytes), np.frombuffer(phi_bytes).reshape(grid.shape)
-    return cho_factor(_free_gramian(grid, sign, dt, chi, phi), overwrite_a=True)
+    return cho_factor(_free_gramian(grid, sign, dt, chi, phi, np.arange(grid.size)),
+                      overwrite_a=True)
 
 
 def _pair_norm(x):

@@ -75,14 +75,14 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
     successive iterates, falls to tol * scale, scale being the datum's norm.
     The inner solves are tightened so that each stopping rule sits above the
     floor of the solves nested inside it: the round's GMRES solve
-    (control_op_P) runs to
-    cg_tol = min(setup.cg_tol, tol/10), the step solves to
+    (control_op_P) runs to cg_tol = min(setup.cg_tol, tol/10), the step solves to
     min(setup.krylov_tol, cg_tol/100); neither is looser than the setup's.
     du below cg_tol * scale is noise of the inner solves; the stop test
     comes first, so a rise of du counts only while du is above the target,
     a decade above that floor.  Two consecutive counted rises raise
-    ControlError with the ledger attached.  The converged control is
-    finally replayed through the full nonlinear equation (evolve_nonlinear).
+    ControlError with the ledger attached.  The converged control is replayed
+    through the full nonlinear equation (evolve_nonlinear); an H^s terminal
+    ratio above setup.tol_terminal raises ControlError with the ledger too.
     """
     grid = setup.grid
     s = grid.dim / 2.0 + 2.5
@@ -134,7 +134,8 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
         terminal_ratio = (sobolev_norm(replay_traj.terminal.u, s)
                           / max(sobolev_norm(SpectralField(grid, u_hat), s), 1e-300))
         if terminal_ratio > setup.tol_terminal:
-            rep.extras["replay_terminal_failure"] = True
+            raise ControlError(f"nonlinear replay terminal ratio {terminal_ratio:.3e} above "
+                               f"tol_terminal {setup.tol_terminal:.1e}", ledger)
     return NullControlResult(F, U_traj, replay_traj, ledger, rep, it, terminal_ratio)
 
 

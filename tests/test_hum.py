@@ -407,6 +407,44 @@ def test_observability_constant_is_the_least_eigenvalue_of_the_free_gramian():
     assert c_min[32] >= 3e-4
 
 
+def test_observability_constant_is_bounded_below_at_n64():
+    # K0's gamma-block on the tier-1 strips at N=64 with 384 steps, the same
+    # dt (N/2)^2 = 2.67 as at N=16 and 32: c_min levels off in N (measured
+    # 3.07e-3, 3.89e-4, 3.25e-4 at N=16, 32, 64)
+    st = strip_setup(TorusGrid(2, 64), steps=384)
+    c_min, _, rep = HumProblem(st, NL).observability_constant()
+    assert c_min >= 3e-4 and rep.rayleigh_min == c_min
+
+
+def test_observability_change_on_frozen_backgrounds_is_quadratic_in_the_amplitude():
+    # the paper carries observability from the free flow to the frozen
+    # systems by smallness; the nonlinearity is cubic, so doubling the
+    # background multiplies the change of c_min from K0's value by 4
+    # (measured relative changes 2.66e-5 and 1.07e-4, ratio 4.000)
+    grid = TorusGrid(2, 16)
+    st = strip_setup(grid, steps=24)
+    c_free, _, _ = HumProblem(st, NL).observability_constant()
+    change = []
+    for amp in (1e-1, 2e-1):
+        frozen = frozen_background(grid, st.timegrid, np.random.default_rng(5), amp=amp)
+        c_min, _, _ = HumProblem(st, NL, frozen=frozen).observability_constant()
+        change.append(c_min - c_free)
+    assert abs(change[0]) <= 1e-4 * c_free
+    assert change[1] / change[0] == pytest.approx(4.0, rel=0.05)
+
+
+def test_frozen_observability_block_is_symmetric():
+    # P K P is pair-self-adjoint, so its realified block on the gamma-ball,
+    # built from 2m Gramian applications, is symmetric up to the step
+    # solves' tolerance (measured 1.4e-11 at amplitude 4e-1)
+    grid = TorusGrid(2, 16)
+    st = strip_setup(grid, steps=24)
+    frozen = frozen_background(grid, st.timegrid, np.random.default_rng(5), amp=4e-1)
+    c_min, _, rep = HumProblem(st, NL, frozen=frozen).observability_constant()
+    assert rep.extras["asymmetry"] <= 1e-8
+    assert 0.0 < c_min == rep.rayleigh_min <= rep.rayleigh_max
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_controlled_solve_matches_free_nonlinear_replay(sign):
     # g1 = g2 = 0: the nonlinear replay is the free linear flow, so both
@@ -424,14 +462,6 @@ def test_controlled_solve_matches_free_nonlinear_replay(sign):
                               krylov_tol=st.krylov_tol)
     got, want = np.array(lin.states), np.array(nonlin.states)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_observability_constant_raises_on_unconverged_inner_solve():
-    # two GMRES iterations cannot reach cg_tol: no c_min from such solves
-    grid = TorusGrid(2, 8)
-    st = strip_setup(grid, cg_max_iter=2)
-    with pytest.raises(HumError, match=r"\(backstop 2\)"):
-        HumProblem(st, NL).observability_constant()
 
 
 def test_every_hum_problem_controls_the_replayed_equation():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from torusctrl import evolve
 from torusctrl.hum import ControlSetup, HumProblem
 from torusctrl.model import Nonlinearity
 from torusctrl.picard import ControlError, exact_control, null_control
@@ -128,3 +129,37 @@ def test_picard_ratio_scales_with_the_square_of_the_amplitude():
     ratios = [null_control(u0 * scale, NL, st, max_iter=2, tol=1e-5, replay=False)
               .ledger.ratios[0] for scale in (1.0, 3.0)]
     assert ratios[1] / ratios[0] == pytest.approx(9.0, rel=0.05)
+
+
+def test_replay_above_tol_terminal_raises():
+    # the nonlinear replay's verdict is an error: a converged Picard control
+    # whose replay misses tol_terminal raises ControlError, naming the
+    # terminal ratio and carrying the ledger
+    grid = TorusGrid(2, 8)
+    st = strip_setup(grid, steps=12, cg_tol=1e-9, tol_terminal=1e-12)
+    u0 = small_pair(grid, np.random.default_rng(81), amp=1e-2, kmax=1).u
+    with pytest.raises(ControlError, match=r"terminal ratio \d\.\d{3}e-\d+ above "
+                                           r"tol_terminal 1\.0e-12") as err:
+        null_control(u0, NL, st, max_iter=6, tol=1e-8)
+    assert err.value.ledger.records
+
+
+def test_replay_of_a_converged_control_matches_the_frozen_trajectory(monkeypatch):
+    # the Picard fixed point solves the equation the replay integrates, so
+    # with converged midpoint passes the replay is the frozen trajectory
+    # (measured 4.9e-12 relative; two fixed passes per step left 5.5e-6).
+    # Capped at two passes, the replay raises EvolveError naming the pass
+    # differences.
+    grid = TorusGrid(2, 8)
+    st = strip_setup(grid, steps=12, cg_tol=1e-9, tol_terminal=1e-4)
+    u0 = small_pair(grid, np.random.default_rng(2), amp=1e-1, kmax=1).u
+    res = null_control(u0, NL, st, max_iter=12, tol=1e-8)
+    scale = np.linalg.norm(st.filter_data(u0.coeffs))
+    gap = max(np.linalg.norm(a - b) for a, b in zip(res.replay_trajectory.states,
+                                                    res.frozen_trajectory.states))
+    assert gap <= 1e-10 * scale
+    monkeypatch.setattr(evolve, "_NONLINEAR_MAX_PASSES", 2)
+    with pytest.raises(evolve.EvolveError, match=r"midpoint passes unconverged at step \d+"):
+        evolve.evolve_nonlinear(grid, st.timegrid, NL, st.filter_data(u0.coeffs),
+                                control=(st.chi_mid, st.phi_values, res.F_mids),
+                                krylov_tol=st.krylov_tol)
