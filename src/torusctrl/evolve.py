@@ -1,6 +1,7 @@
 """Implicit-midpoint time integration for every evolution in the pipeline:
 frozen linear (with or without the smoothing remainder), its exact pairing
-adjoint, and the full nonlinear flow, forward or backward.
+adjoint, and the full nonlinear flow, forward only (conjugation reverses
+its time; see picard).
 
 The paradifferential generator i A(U) is an assembled sparse PairOp; the
 multiplicative frozen generator (with remainder, and the nonlinear step
@@ -92,10 +93,10 @@ class FrozenProgram:
 
     kind: "frozen_simplified" (i A(U), paradifferential) or
     "frozen_with_remainder" (i A(U) + R(U), the multiplicative frozen form).
-    sign -1 gives the time-reversed generator; adjoint_program() the exact
-    pairing adjoint -L^T (PairOp.transpose_pairing of each step operator:
-    the transposed CSR blocks of i A(U), the exact FFT transpose of the
-    matrix-free multiplicative form; discrete duality is exact either way).
+    adjoint_program() gives the exact pairing adjoint -L^T
+    (PairOp.transpose_pairing of each step operator: the transposed CSR
+    blocks of i A(U), the exact FFT transpose of the matrix-free
+    multiplicative form; discrete duality is exact either way).
 
     The frozen-with-remainder step operator comes from _frozen_generator, as
     evolve_nonlinear's does: frozen at U and applied to U, it is the
@@ -103,14 +104,13 @@ class FrozenProgram:
     """
 
     def __init__(self, frozen: Trajectory, nl: Nonlinearity, cutoff: CutoffProfile,
-                 kind="frozen_simplified", sign=1.0):
+                 kind="frozen_simplified"):
         if kind not in ("frozen_simplified", "frozen_with_remainder"):
             raise ValueError(f"unknown frozen kind {kind!r}")
         self.frozen = frozen
         self.nl = nl
         self.cutoff = cutoff
         self.kind = kind
-        self.sign = float(sign)
         self.grid = frozen.grid
         self.tg = frozen.tg
         self._cache = {}
@@ -130,12 +130,11 @@ class FrozenProgram:
             base = self._base.step_op(n)
             op = (-1.0) * base.transpose_pairing()
         elif self.kind == "frozen_with_remainder":
-            op = _frozen_generator(self.grid, self.nl, self.frozen.mid_background(n),
-                                   self.sign)
+            op = _frozen_generator(self.grid, self.nl, self.frozen.mid_background(n))
         else:
             bg = self.frozen.mid_background(n)
             co = compute_coefficients(PairState(SpectralField(self.grid, bg)), self.nl)
-            op = assemble_A_from_coeffs(co, self.cutoff, 1j * self.sign)
+            op = assemble_A_from_coeffs(co, self.cutoff, 1j)
         self._cache[n] = op
         return op
 
@@ -143,17 +142,15 @@ class FrozenProgram:
 class FreeProgram:
     """Zero background: the generator is the exact diagonal multiplier."""
 
-    def __init__(self, grid: TorusGrid, tg: TimeGrid, sign=1.0):
+    def __init__(self, grid: TorusGrid, tg: TimeGrid):
         self.grid = grid
         self.tg = tg
-        self.sign = float(sign)
-        # i A(0) = -i |k|^2 multiplier; its pairing adjoint flow is itself
-        self._op = DiagonalOp(grid, -1j * self.sign * grid.abs2.ravel())
+        # i A(0) = -i |k|^2 multiplier
+        self._op = DiagonalOp(grid, -1j * grid.abs2.ravel())
 
     def adjoint_program(self):
-        other = FreeProgram(self.grid, self.tg, self.sign)
-        other._op = DiagonalOp(self.grid, -np.conj(self._op.d))
-        return other
+        # the pairing adjoint -conj(-i|k|^2) = -i|k|^2: the free flow is its own
+        return self
 
     def step_op(self, n):
         return self._op
@@ -285,16 +282,16 @@ def _dealias_nonlinear(L: PairOp) -> PairOp:
     return PairOp(L.grid, L.Z, L.C, [b.scaled(mask) for b in L.mult])
 
 
-def _frozen_generator(grid, nl, coeffs, sign):
-    """sign * (the dealiased frozen-with-remainder generator at the state coeffs).
+def _frozen_generator(grid, nl, coeffs):
+    """The dealiased frozen-with-remainder generator at the state coeffs.
 
     The one builder of that generator: FrozenProgram's step operators and
     the passes of evolve_nonlinear both come from here, so the Picard
-    rounds solve exactly the equation that the replay integrates.
+    rounds solve exactly the equation that the replay integrates.  Conjugation
+    reverses it, cr(L(U) w) = -L(cr U) cr(w), since g1 and g2 are real.
     """
     co = compute_coefficients(PairState(SpectralField(grid, coeffs)), nl)
-    op = _dealias_nonlinear(assemble_frozen_from_coeffs(co))
-    return op if sign == 1.0 else sign * op
+    return _dealias_nonlinear(assemble_frozen_from_coeffs(co))
 
 
 # Cap on the midpoint fixed-point passes of one nonlinear step (the N=16
@@ -303,7 +300,7 @@ _NONLINEAR_MAX_PASSES = 12
 
 
 def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
-                     control=None, sign=1.0, krylov_tol=1e-10) -> Trajectory:
+                     control=None, krylov_tol=1e-10) -> Trajectory:
     """Implicit midpoint for the controlled nonlinear equation, 2/3-dealiased
     (the right-hand side is model.full_nonlinear_rhs with dealias=True).
 
@@ -318,14 +315,14 @@ def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
     states = [init.copy()]
     mids = []
 
-    sources = None if control is None else control_sources(grid, control, sign)
+    sources = None if control is None else control_sources(grid, control)
     for n in range(tg.steps):
         rhs = states[n].ravel()
         if sources is not None:
             rhs = rhs + a * sources[n].ravel()
         x, d = states[n].ravel(), []
         for _ in range(_NONLINEAR_MAX_PASSES):
-            op = _frozen_generator(grid, nl, x.reshape(grid.shape), sign)
+            op = _frozen_generator(grid, nl, x.reshape(grid.shape))
             x, x_prev = _solve_shifted(op, a, rhs, krylov_tol), x
             d.append(np.linalg.norm(x - x_prev))
             if len(d) > 1 and d[-1] ** 2 <= krylov_tol * np.linalg.norm(x) * (d[-2] - d[-1]):
@@ -339,8 +336,8 @@ def evolve_nonlinear(grid: TorusGrid, tg: TimeGrid, nl: Nonlinearity, init,
     return Trajectory(grid, tg, states, mids)
 
 
-def control_sources(grid, control, sign):
-    """Midpoint sources -sign * i chi phi F of the controlled equation.
+def control_sources(grid, control):
+    """Midpoint sources -i chi phi F of the controlled equation.
 
     control is (chi_mid, phi_values, F_mids): chi sampled at the midpoints,
     the spatial cutoff on the grid, and the midpoint control coefficient
@@ -353,5 +350,5 @@ def control_sources(grid, control, sign):
             out.append(np.zeros(grid.shape, dtype=complex))
             continue
         fv = grid.values_from_coeffs(np.asarray(f, dtype=complex).reshape(grid.shape))
-        out.append(grid.coeffs_from_values(-sign * 1j * c * phi * fv))
+        out.append(grid.coeffs_from_values(-1j * c * phi * fv))
     return out

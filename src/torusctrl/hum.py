@@ -143,15 +143,13 @@ class HumProblem:
     """HUM operators over one frozen background trajectory.
 
     frozen=None means the zero background (free flow, diagonal fast path).
-    sign=-1 builds the machinery for the time-reversed equation.  The
-    frozen-with-remainder system is that of the dealiased equation that
-    evolve_nonlinear integrates (FrozenProgram).
+    The frozen-with-remainder system is that of the dealiased equation that
+    evolve_nonlinear integrates (FrozenProgram).  There is no time-reversed
+    system: picard.exact_control reverses time by conjugation.
     """
 
-    def __init__(self, setup: ControlSetup, nl: Nonlinearity, frozen: Trajectory = None,
-                 sign=1.0):
+    def __init__(self, setup: ControlSetup, nl: Nonlinearity, frozen: Trajectory = None):
         self.setup = setup
-        self.sign = float(sign)
         self.grid = setup.grid
         self.tg = setup.timegrid
         if frozen is not None and frozen.tg.steps != setup.steps:
@@ -159,13 +157,11 @@ class HumProblem:
         self.frozen = frozen
         self.cg_iterations = 0      # Krylov iterations of every solve on this problem
         if frozen is None or _is_zero(frozen):
-            self.simp = FreeProgram(self.grid, self.tg, sign=self.sign)
+            self.simp = FreeProgram(self.grid, self.tg)
             self.rem = self.simp
         else:
-            self.simp = FrozenProgram(frozen, nl, CutoffProfile(), kind="frozen_simplified",
-                                      sign=self.sign)
-            self.rem = FrozenProgram(frozen, nl, CutoffProfile(), kind="frozen_with_remainder",
-                                     sign=self.sign)
+            self.simp = FrozenProgram(frozen, nl, CutoffProfile(), kind="frozen_simplified")
+            self.rem = FrozenProgram(frozen, nl, CutoffProfile(), kind="frozen_with_remainder")
         self.adj = self.simp.adjoint_program()
         self._chi = setup.chi_mid
 
@@ -190,8 +186,7 @@ class HumProblem:
     def controlled_solve(self, U_in, F_mids, with_remainder=False) -> Trajectory:
         """Forward replay of the controlled system from U(0) = U_in."""
         prog = self.rem if with_remainder else self.simp
-        sources = control_sources(self.grid, (self._chi, self.setup.phi_values, F_mids),
-                                  self.sign)
+        sources = control_sources(self.grid, (self._chi, self.setup.phi_values, F_mids))
         return evolve_linear(prog, U_in, source=sources, krylov_tol=self.setup.krylov_tol)
 
     # -- Gramian -------------------------------------------------------------
@@ -253,7 +248,7 @@ class HumProblem:
         bn = _pair_norm(b)
         if bn == 0.0:
             return np.zeros_like(b), HumSolveReport(converged=True, extras={"true_residual": 0.0})
-        chol = _free_gramian_factor(self.grid, self.sign, self.tg.dt, self._chi.tobytes(),
+        chol = _free_gramian_factor(self.grid, self.tg.dt, self._chi.tobytes(),
                                     st.phi_values.tobytes())
         x, its, r = _gmres_real(lambda v: apply_fn(v.reshape(self.grid.shape)).ravel(),
                                 lambda z: cho_solve(chol, z), b, st.cg_tol, st.cg_budget)
@@ -273,9 +268,9 @@ class HumProblem:
         return x, rep
 
     def control_from_v0(self, v0):
-        """F(t) = sign * (-i) chi(t) phi S(K^-1 U_in)(t), midpoint samples."""
+        """F(t) = -i chi(t) phi S(K^-1 U_in)(t), midpoint samples."""
         sol = self.solution_op(v0)
-        return [self.sign * (-1j) * self._chi[n] * self.mult_phi(sol.midpoints[n])
+        return [-1j * self._chi[n] * self.mult_phi(sol.midpoints[n])
                 for n in range(self.tg.steps)]
 
     def control_op(self, U_in):
@@ -305,7 +300,7 @@ class HumProblem:
     @property
     def free_gramian(self):
         """K0, the zero-background Gramian, dense on the flattened coefficients."""
-        return _free_gramian(self.grid, self.sign, self.tg.dt, self._chi,
+        return _free_gramian(self.grid, self.tg.dt, self._chi,
                              self.setup.phi_values, np.arange(self.grid.size))
 
     def control_op_P(self, U_in):
@@ -316,7 +311,8 @@ class HumProblem:
         hum_apply(v, with_remainder=True).  Returns (F_mids, the verifying
         forward trajectory of the frozen system, report); report.extras
         ["E_ratio"] is ||E K v0|| / ||K v0|| (pair norms), the smallness of E
-        on which the inverse (Id+E)^-1 rests.
+        on which the inverse (Id+E)^-1 rests.  report.terminal_norm is read,
+        not judged here: null_control's nonlinear replay gives the verdict.
         """
         b = self.filter_data(_as_coeffs(self.grid, U_in))
         v0, rep = self._solve(lambda v: self.hum_apply(v, with_remainder=True), b,
@@ -327,8 +323,6 @@ class HumProblem:
         F = self.control_from_v0(v0)
         traj = self.controlled_solve(b, F, with_remainder=True)
         rep.terminal_norm = _pair_norm(traj.terminal.u.coeffs) / max(_pair_norm(b), 1e-300)
-        if rep.terminal_norm > self.setup.tol_terminal:
-            rep.extras["terminal_failure"] = True
         return F, traj, rep
 
     # -- observability ---------------------------------------------------------
@@ -350,7 +344,7 @@ class HumProblem:
         """
         ball = np.flatnonzero(self.setup.filter_mask)
         if self.rem is self.simp:
-            H = _free_gramian(self.grid, self.sign, self.tg.dt, self._chi,
+            H = _free_gramian(self.grid, self.tg.dt, self._chi,
                               self.setup.phi_values, ball)
             block = np.block([[H.real, -H.imag], [H.imag, H.real]])
         else:
@@ -368,16 +362,16 @@ class HumProblem:
         return float(lam[0]), worst_mode, report
 
 
-def _free_gramian(grid, sign, dt, chi, phi, modes):
+def _free_gramian(grid, dt, chi, phi, modes):
     """K0, the zero-background Gramian on the flattened indices modes, dense and
     Fortran-ordered, in closed form.
 
     Mode k advances by (1 + a d_k) / (1 - a d_k) per step (a = dt/2,
-    d_k = -i sign |k|^2); with w_nk its midpoint sample from a unit datum,
+    d_k = -i |k|^2); with w_nk its midpoint sample from a unit datum,
     K0[j, k] = (phi^2)^[j - k] sum_n 2 a chi_n^2 conj(w_nj) w_nk,
     Hermitian, in O(steps m^2) operations on m modes, gathered in N slices of rows.
     """
-    a, d = 0.5 * dt, -1j * sign * grid.abs2.ravel()[modes]
+    a, d = 0.5 * dt, -1j * grid.abs2.ravel()[modes]
     w = ((1.0 + a * d) / (1.0 - a * d)) ** np.arange(len(chi))[:, None] / (1.0 - a * d)
     K0 = ((w.T * (2.0 * a * chi ** 2)) @ np.conj(w)).T      # w^H c w, Fortran-ordered
     phi2 = grid.coeffs_from_values(phi ** 2)
@@ -388,10 +382,10 @@ def _free_gramian(grid, sign, dt, chi, phi, modes):
 
 
 @lru_cache(maxsize=2)
-def _free_gramian_factor(grid, sign, dt, chi_bytes, phi_bytes):
+def _free_gramian_factor(grid, dt, chi_bytes, phi_bytes):
     """cho_factor of K0 in place, keyed on K0's data: built once, not per Picard round."""
     chi, phi = np.frombuffer(chi_bytes), np.frombuffer(phi_bytes).reshape(grid.shape)
-    return cho_factor(_free_gramian(grid, sign, dt, chi, phi, np.arange(grid.size)),
+    return cho_factor(_free_gramian(grid, dt, chi, phi, np.arange(grid.size)),
                       overwrite_a=True)
 
 

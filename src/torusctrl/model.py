@@ -231,8 +231,8 @@ def nonlinear_term_coeffs(u_hat, grid: TorusGrid, nl: Nonlinearity, dealias=True
 
 def full_nonlinear_rhs(u: SpectralField, nl: Nonlinearity, F: SpectralField = None,
                        chi_t: float = 0.0, phi: np.ndarray = None,
-                       dealias=True, sign=1.0) -> SpectralField:
-    """du/dt = sign * [ i(Lap u + N2(u)) - i chi_t phi F ] (coefficients)."""
+                       dealias=True) -> SpectralField:
+    """du/dt = i(Lap u + N2(u)) - i chi_t phi F (coefficients)."""
     grid = u.grid
     rhs = 1j * (grid.laplacian_coeffs(u.coeffs)
                 + nonlinear_term_coeffs(u.coeffs, grid, nl, dealias))
@@ -240,7 +240,7 @@ def full_nonlinear_rhs(u: SpectralField, nl: Nonlinearity, F: SpectralField = No
         fv = grid.values_from_coeffs(F.coeffs)
         src = chi_t * (phi if phi is not None else 1.0) * fv
         rhs = rhs - 1j * grid.coeffs_from_values(src)
-    return SpectralField(grid, sign * rhs)
+    return SpectralField(grid, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -203,11 +203,6 @@ class DiagonalOp:
     def apply(self, w):
         return self.d * w
 
-    def transpose_pairing(self):
-        # real-pairing transpose of a complex-linear operator is the complex
-        # adjoint, i.e. the conjugate multiplier
-        return DiagonalOp(self.grid, np.conj(self.d))
-
 
 def _scaled(M, s):
     """s M for a CSR matrix M, sharing its index arrays (no operator here changes them)."""

@@ -1,6 +1,10 @@
 """Nonlinear null control by the Picard scheme (freeze coefficients at the
 previous iterate, re-solve the linear control problem) and exact control by
-gluing two null controls across the half horizon with time reversal.
+gluing two null controls across the half horizon.
+
+The equation is reversible by conjugation (g1, g2 real): V solves it backward
+in time exactly when conj V solves it forward (Dehman-Gerard-Lebeau, Math. Z.
+254, 2006), so both halves of an exact control come from the forward solver.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ def _mids_diff_norm(a, b, grid, s):
 
 
 def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
-                 max_iter=12, tol=1e-9, sign=1.0, replay=True):
+                 max_iter=12, tol=1e-9, replay=True):
     """Picard iteration for nonlinear null control.
 
     U^0 = 0, F^0 = 0; each round freezes coefficients at U^n, builds the
@@ -101,7 +105,7 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
     it = 0
     for it in range(1, max_iter + 1):
         frozen = None if it == 1 else U_curr
-        prob = HumProblem(inner, nl, frozen=frozen, sign=sign)
+        prob = HumProblem(inner, nl, frozen=frozen)
         F, U_new, rep = prob.control_op_P(u_hat)
         du = _mids_diff_norm(U_new.states, U_curr.states, grid, s - 2)
         df = _mids_diff_norm(F, F_curr, grid, s - 2)
@@ -129,8 +133,7 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
     if replay:
         replay_traj = evolve_nonlinear(
             grid, tg, nl, u_hat,
-            control=(setup.chi_mid, setup.phi_values, F),
-            sign=sign, krylov_tol=setup.krylov_tol)
+            control=(setup.chi_mid, setup.phi_values, F), krylov_tol=setup.krylov_tol)
         terminal_ratio = (sobolev_norm(replay_traj.terminal.u, s)
                           / max(sobolev_norm(SpectralField(grid, u_hat), s), 1e-300))
         if terminal_ratio > setup.tol_terminal:
@@ -147,23 +150,26 @@ def null_control(u_in: SpectralField, nl: Nonlinearity, setup: ControlSetup,
 class ExactControlResult:
     F_mids: list
     replay_trajectory: Trajectory
-    forward_half: NullControlResult
-    backward_half: NullControlResult
+    forward_half: NullControlResult    # null control of u_in
+    backward_half: NullControlResult   # forward null control of conj u_end
     terminal_error: float       # ||u(T) - u_end||_{H^s} / data scale
     junction_norms: tuple       # (||W(T/2)||, ||V(T/2)||) relative
 
 
 def exact_control(u_in: SpectralField, u_end: SpectralField, nl: Nonlinearity,
                   setup: ControlSetup, **null_kw):
-    """Steer u_in to u_end: null-control u_in forward on [0, T/2], null-control
-    u_end through the time-reversed equation on [0, T/2], glue
+    """Steer u_in to u_end: null-control u_in on [0, T/2] (W, F_W) and
+    conj u_end on [0, T/2] (V, F_V), both forward, and glue
 
-        U(t) = W(t) on [0,T/2],  V(T-t) on (T/2,T],
-        F(t) = chi_{T/2}(t) F_W(t) resp. chi_{T/2}(T-t) F_V(T-t),
+        U(t) = W(t) on [0,T/2],  conj V(T-t) on (T/2,T],
+        F(t) = chi_{T/2}(t) F_W(t) resp. chi_{T/2}(T-t) conj F_V(T-t),
 
-    and verify by a nonlinear replay of the glued control over [0, T], whose
-    terminal error is measured in H^s, s = d/2 + 2.5.  null_kw go to both
-    null_control calls.
+    since conj V(T-t) solves the equation forward under conj F_V(T-t) (module
+    docstring).  A nonlinear replay of the glued control over [0, T] verifies
+    it; its terminal error is measured in H^s, s = d/2 + 2.5, relative to the
+    data.  ControlError is raised when a half does not vanish at T/2 (above
+    2 tol_terminal) or when the terminal error exceeds setup.tol_terminal.
+    null_kw go to both null_control calls.
     """
     grid = setup.grid
     s = grid.dim / 2.0 + 2.5
@@ -173,8 +179,8 @@ def exact_control(u_in: SpectralField, u_end: SpectralField, nl: Nonlinearity,
     half = replace(setup, T=setup.T / 2.0, steps=half_steps, chi="plateau")
 
     null_kw.setdefault("replay", False)  # the glued replay is the verdict
-    fwd = null_control(u_in, nl, half, sign=1.0, **null_kw)
-    bwd = null_control(u_end, nl, half, sign=-1.0, **null_kw)
+    fwd = null_control(u_in, nl, half, **null_kw)
+    bwd = null_control(u_end.conj(), nl, half, **null_kw)
 
     chi_half = chi_plateau(setup.T / 2.0)
     tg = TimeGrid(0.0, setup.T, setup.steps)
@@ -185,13 +191,13 @@ def exact_control(u_in: SpectralField, u_end: SpectralField, nl: Nonlinearity,
             F.append(float(chi_half(tmid[n])) * fwd.F_mids[n])
         else:
             m = setup.steps - 1 - n
-            F.append(float(chi_half(setup.T - tmid[n])) * bwd.F_mids[m])
+            F.append(float(chi_half(setup.T - tmid[n])) * grid.conj_coeffs(bwd.F_mids[m]))
 
     u_in_f = setup.filter_data(u_in.coeffs)
     u_end_f = setup.filter_data(u_end.coeffs)
     replay = evolve_nonlinear(grid, tg, nl, u_in_f,
                               control=(np.ones(setup.steps), setup.phi_values, F),
-                              sign=1.0, krylov_tol=setup.krylov_tol)
+                              krylov_tol=setup.krylov_tol)
     scale = max(sobolev_norm(SpectralField(grid, u_in_f), s)
                 + sobolev_norm(SpectralField(grid, u_end_f), s), 1e-300)
     terminal_error = sobolev_norm(
@@ -200,4 +206,7 @@ def exact_control(u_in: SpectralField, u_end: SpectralField, nl: Nonlinearity,
                 bwd.ledger.records[-1].terminal_norm if bwd.ledger.records else np.nan)
     if max(junction) > 2.0 * setup.tol_terminal:
         raise ControlError(f"glued halves do not vanish at T/2: {junction}")
+    if terminal_error > setup.tol_terminal:
+        raise ControlError(f"glued replay terminal error {terminal_error:.3e} above "
+                           f"tol_terminal {setup.tol_terminal:.1e}")
     return ExactControlResult(F, replay, fwd, bwd, terminal_error, junction)

@@ -373,14 +373,13 @@ def test_K_plus_EK_is_one_remainder_backward_solve():
 
 
 @pytest.mark.parametrize("n", [8, 16])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_free_gramian_is_the_zero_background_gramian(n, sign):
+def test_free_gramian_is_the_zero_background_gramian(n):
     # the closed form K0 against hum_apply on the free background; measured
     # agreement 1e-15 relative
     rng = np.random.default_rng(85)
     grid = TorusGrid(2, n)
     st = strip_setup(grid, steps=24)
-    prob = HumProblem(st, NL, sign=sign)
+    prob = HumProblem(st, NL)
     K0 = prob.free_gramian
     assert np.max(np.abs(K0 - K0.conj().T)) <= 1e-14 * np.max(np.abs(K0))
     for _ in range(3):
@@ -445,20 +444,19 @@ def test_frozen_observability_block_is_symmetric():
     assert 0.0 < c_min == rep.rayleigh_min <= rep.rayleigh_max
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_controlled_solve_matches_free_nonlinear_replay(sign):
+def test_controlled_solve_matches_free_nonlinear_replay():
     # g1 = g2 = 0: the nonlinear replay is the free linear flow, so both
-    # replays see the same control source -sign i chi phi F
+    # replays see the same control source -i chi phi F
     rng = np.random.default_rng(84)
     grid = TorusGrid(2, 8)
     free = Nonlinearity(g1=(0.0,), g2=(0.0,))
     st = strip_setup(grid, steps=12, krylov_tol=1e-13)
-    prob = HumProblem(st, free, sign=sign)
+    prob = HumProblem(st, free)
     U_in = random_field(grid, rng).coeffs
     F = [random_field(grid, rng).coeffs for _ in range(st.steps)]
     lin = prob.controlled_solve(U_in, F)
     nonlin = evolve_nonlinear(grid, st.timegrid, free, U_in,
-                              control=(st.chi_mid, st.phi_values, F), sign=sign,
+                              control=(st.chi_mid, st.phi_values, F),
                               krylov_tol=st.krylov_tol)
     got, want = np.array(lin.states), np.array(nonlin.states)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

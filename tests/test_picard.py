@@ -97,6 +97,21 @@ def test_exact_control_generic_pair():
     assert max(res.junction_norms) <= 2 * st.tol_terminal
 
 
+def test_glued_replay_above_tol_terminal_raises():
+    # the glued replay's verdict is an error: halves that vanish at T/2
+    # (measured 3.7e-13 and 2.7e-13, under the 2e-11 junction bound) whose
+    # replay misses tol_terminal (measured 1.8e-10) raise ControlError
+    # naming both values
+    rng = np.random.default_rng(83)
+    grid = TorusGrid(2, 8)
+    st = strip_setup(grid, T=2.0, steps=16, cg_tol=1e-9, tol_terminal=1e-11)
+    u0 = small_pair(grid, rng, amp=5e-3, kmax=1).u
+    u1 = small_pair(grid, rng, amp=5e-3, kmax=1).u
+    with pytest.raises(ControlError, match=r"terminal error \d\.\d{3}e-\d+ above "
+                                           r"tol_terminal 1\.0e-11"):
+        exact_control(u0, u1, NL, st, max_iter=8, tol=1e-10)
+
+
 def test_ledger_counts_every_cg_iteration_of_a_round(monkeypatch):
     # each round builds one HumProblem and runs one GMRES solve in
     # control_op_P; its ledger entry is the iteration count that the solve
