@@ -182,10 +182,11 @@ def _solve_shifted(op, a, b, krylov_tol):
         x = x + r / denom
 
     # preconditioned fixed point stalled: fall back to GMRES
-    x, _, r = _gmres_real(lambda z: z - a * op.apply(z), lambda z: z / denom, b, krylov_tol,
-                          _STEP_GMRES_BACKSTOP, x0=x)
-    if np.linalg.norm(r) > 10 * krylov_tol * bn:
-        raise EvolveError(f"Krylov step solve failed: residual={np.linalg.norm(r):.3e}")
+    x, _, Ax = _gmres_real(lambda z: z - a * op.apply(z), lambda z: z / denom, b, krylov_tol,
+                           _STEP_GMRES_BACKSTOP, x0=x)
+    rn = np.linalg.norm(b - Ax)
+    if rn > 10 * krylov_tol * bn:
+        raise EvolveError(f"Krylov step solve failed: residual={rn:.3e}")
     return x
 
 
@@ -195,7 +196,7 @@ def _gmres_real(apply, precondition, b, tol, max_iter, x0=None):
     precondition approximates apply's inverse (scipy applies it on the left).
     Stops when the true residual, tested after each restart cycle of 50
     iterations, falls to tol relative to b, or after the cycles that hold
-    max_iter iterations.  Returns (x, iterations, the residual b - apply(x)).
+    max_iter iterations.  Returns (x, iterations, apply(x)).
     """
     n = b.size
     last = {}
@@ -220,7 +221,7 @@ def _gmres_real(apply, precondition, b, tol, max_iter, x0=None):
     x = sol[:n] + 1j * sol[n:]
     # scipy's last application is the residual test of the iterate it returns
     Ax = last["Ax"] if np.array_equal(last.get("x"), x) else apply(x)
-    return x, len(iterations), b - Ax
+    return x, len(iterations), Ax
 
 
 def _check_finite(x, where):

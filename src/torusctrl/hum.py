@@ -21,6 +21,11 @@ is linear and the remainder step operator is the simplified one plus R(U)
 at every midpoint, so Z + Y is the remainder backward solve of G:
 (K + E K) v0 = -R_rem(G)(0), one adjoint and one backward sweep
 (hum_apply(v0, with_remainder=True)).
+
+A control_op_P control costs one Krylov solve, whose last application is
+(K + E K) v0 at the returned v0, one adjoint sweep S v0 for both the control
+and E K v0 = (K + E K) v0 - K v0, one simplified backward sweep for K v0,
+and one verifying forward sweep; control_op needs no backward sweep.
 """
 
 from __future__ import annotations
@@ -155,7 +160,6 @@ class HumProblem:
         if frozen is not None and frozen.tg.steps != setup.steps:
             raise ValueError("frozen trajectory and setup use different time grids")
         self.frozen = frozen
-        self.cg_iterations = 0      # Krylov iterations of every solve on this problem
         if frozen is None or _is_zero(frozen):
             self.simp = FreeProgram(self.grid, self.tg)
             self.rem = self.simp
@@ -229,13 +233,15 @@ class HumProblem:
 
     def hum_invert(self, U_in):
         """K v0 = U_in, U_in gamma-filtered, by _solve; returns (raveled v0, report)."""
-        return self._solve(self.hum_apply, self.filter_data(_as_coeffs(self.grid, U_in)),
-                           "K v0 = U_in")
+        v0, _, rep = self._solve(self.hum_apply, self.filter_data(_as_coeffs(self.grid, U_in)),
+                                 "K v0 = U_in")
+        return v0, rep
 
     def _solve(self, apply_fn, b, what):
-        """GMRES on apply_fn(x) = b in the pair product; returns (raveled x, HumSolveReport).
+        """GMRES on apply_fn(x) = b in the pair product; returns (x, apply_fn(x), report).
 
-        apply_fn (K or K + E K) takes grid-shaped arrays.  GMRES is
+        apply_fn (K or K + E K) takes grid-shaped arrays, x and apply_fn(x) come
+        back raveled.  GMRES is
         left-preconditioned by K0^-1 (free_gramian's cached Cholesky factor;
         K0 = K at the zero background) and stops when the true relative
         residual reaches setup.cg_tol, with setup.cg_budget iterations as the
@@ -247,12 +253,13 @@ class HumProblem:
         b = np.asarray(b, dtype=complex).ravel()
         bn = _pair_norm(b)
         if bn == 0.0:
-            return np.zeros_like(b), HumSolveReport(converged=True, extras={"true_residual": 0.0})
+            return (np.zeros_like(b), np.zeros_like(b),
+                    HumSolveReport(converged=True, extras={"true_residual": 0.0}))
         chol = _free_gramian_factor(self.grid, self.tg.dt, self._chi.tobytes(),
                                     st.phi_values.tobytes())
-        x, its, r = _gmres_real(lambda v: apply_fn(v.reshape(self.grid.shape)).ravel(),
-                                lambda z: cho_solve(chol, z), b, st.cg_tol, st.cg_budget)
-        self.cg_iterations += its
+        x, its, Ax = _gmres_real(lambda v: apply_fn(v.reshape(self.grid.shape)).ravel(),
+                                 lambda z: cho_solve(chol, z), b, st.cg_tol, st.cg_budget)
+        r = b - Ax
         r_in = self.filter_data(r)
         parts = {"true_residual": _pair_norm(r) / bn, "residual_in_ball": _pair_norm(r_in) / bn,
                  "residual_out_of_ball": _pair_norm(r.reshape(r_in.shape) - r_in) / bn}
@@ -265,37 +272,41 @@ class HumProblem:
                 f"dt*(N/2)^2 = {st.nyquist_phase_step:.3g}; in-ball "
                 f"{parts['residual_in_ball']:.3e}, out-of-ball "
                 f"{parts['residual_out_of_ball']:.3e}", rep)
-        return x, rep
+        return x, Ax, rep
 
-    def control_from_v0(self, v0):
-        """F(t) = -i chi(t) phi S(K^-1 U_in)(t), midpoint samples."""
-        sol = self.solution_op(v0)
+    def control_from_v0(self, sol):
+        """F(t) = -i chi(t) phi (S v0)(t) at the midpoints, from the adjoint flow sol = S v0."""
         return [-1j * self._chi[n] * self.mult_phi(sol.midpoints[n])
                 for n in range(self.tg.steps)]
 
+    def _verified_control(self, b, sol, rep, with_remainder=False):
+        """(F_mids, the forward trajectory from b under F) from sol = S v0; sets
+        rep.terminal_norm relative to b, the gamma-filtered datum."""
+        F = self.control_from_v0(sol)
+        traj = self.controlled_solve(b, F, with_remainder)
+        rep.terminal_norm = _pair_norm(traj.terminal.u.coeffs) / max(_pair_norm(b), 1e-300)
+        return F, traj
+
     def control_op(self, U_in):
         """Null control of the simplified system; returns (F_mids, v0, report)."""
-        v0, rep = self.hum_invert(U_in)
-        F = self.control_from_v0(v0)
-        traj = self.controlled_solve(self.filter_data(U_in), F)
-        tnorm = _pair_norm(traj.terminal.u.coeffs)
-        rep.terminal_norm = tnorm / max(_pair_norm(_as_coeffs(self.grid, U_in)), 1e-300)
+        b = self.filter_data(_as_coeffs(self.grid, U_in))
+        v0, rep = self.hum_invert(b)
+        F, _ = self._verified_control(b, self.solution_op(v0), rep)
         if rep.terminal_norm > self.setup.tol_terminal:
             rep.extras["terminal_failure"] = True
         return F, v0, rep
 
     # -- remainder-perturbed layer --------------------------------------------
 
-    def perturbation_E(self, v0):
-        """(E K v0, K v0), E = R_P R(U) S_P, from one adjoint sweep.
+    def perturbation_E(self, sol, KEKv):
+        """(E K v0, K v0), E = R_P R(U) S_P, from sol = S v0 and KEKv = (K + E K) v0.
 
-        E K v0 = (K + E K) v0 - K v0 (module docstring): the simplified and
-        the remainder backward solves of one source.  E = 0 exactly at the
-        zero background, where the two programs are one.
+        E K v0 = (K + E K) v0 - K v0 (module docstring), K v0 one simplified
+        backward sweep.  E = 0 exactly at the zero background, where the two
+        programs are one.
         """
-        sol = self.solution_op(v0)
         Kv = self._range_of_observation(sol)
-        return self._range_of_observation(sol, with_remainder=True) - Kv, Kv
+        return KEKv - Kv, Kv
 
     @property
     def free_gramian(self):
@@ -308,21 +319,20 @@ class HumProblem:
 
         With Z0 = K v0, (Id+E) Z0 = U_in is the linear system (K + E K) v0 = U_in,
         solved by _solve to the true relative residual cg_tol, each application
-        hum_apply(v, with_remainder=True).  Returns (F_mids, the verifying
-        forward trajectory of the frozen system, report); report.extras
-        ["E_ratio"] is ||E K v0|| / ||K v0|| (pair norms), the smallness of E
-        on which the inverse (Id+E)^-1 rests.  report.terminal_norm is read,
+        hum_apply(v, with_remainder=True).  Past it, a control costs one adjoint
+        sweep, one simplified backward sweep for E K v0 and one verifying
+        forward sweep.  Returns (F_mids, that forward trajectory of the frozen
+        system, report); report.extras["E_ratio"] is ||E K v0|| / ||K v0||, the
+        smallness of E on which (Id+E)^-1 rests.  report.terminal_norm is read,
         not judged here: null_control's nonlinear replay gives the verdict.
         """
         b = self.filter_data(_as_coeffs(self.grid, U_in))
-        v0, rep = self._solve(lambda v: self.hum_apply(v, with_remainder=True), b,
-                              "(K + E K) v0 = U_in")
-        v0 = v0.reshape(self.grid.shape)
-        EKv, Kv = self.perturbation_E(v0)
+        v0, KEKv, rep = self._solve(lambda v: self.hum_apply(v, with_remainder=True), b,
+                                    "(K + E K) v0 = U_in")
+        sol = self.solution_op(v0.reshape(self.grid.shape))
+        EKv, Kv = self.perturbation_E(sol, KEKv.reshape(self.grid.shape))
         rep.extras["E_ratio"] = _pair_norm(EKv) / max(_pair_norm(Kv), 1e-300)
-        F = self.control_from_v0(v0)
-        traj = self.controlled_solve(b, F, with_remainder=True)
-        rep.terminal_norm = _pair_norm(traj.terminal.u.coeffs) / max(_pair_norm(b), 1e-300)
+        F, traj = self._verified_control(b, sol, rep, with_remainder=True)
         return F, traj, rep
 
     # -- observability ---------------------------------------------------------

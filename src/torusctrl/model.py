@@ -20,7 +20,6 @@ symmetrically), so frozen(U, U) reproduces the nonlinear RHS to rounding.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cache
 
@@ -30,7 +29,7 @@ import scipy.sparse as sp
 from .pairops import MultBlock, PairOp
 from .paradiff import (CutoffProfile, SymbolTerm, TorusSymbol, banded_matrix,
                        xi_abs2, xi_component, xi_const)
-from .spectral import PairState, SpectralField, TorusGrid, pair_sobolev_norm
+from .spectral import PairState, SpectralField, TorusGrid
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,6 @@ def assemble_A(U: PairState, nl: Nonlinearity, cutoff: CutoffProfile) -> PairOp:
         (A W)_1 = -Op(p) w - Op(r) w - Op(q) cr(w),
     p = (1+a2)|xi|^2, r = a1.xi, q = b2|xi|^2.
     """
-    _warn_smallness(U)
     coeffs = compute_coefficients(U, nl)
     return assemble_A_from_coeffs(coeffs, cutoff)
 
@@ -180,20 +178,6 @@ def assemble_A_from_coeffs(coeffs: CoefficientSet, cutoff: CutoffProfile,
     Z, _ = banded_matrix(z, cutoff)
     C, _ = banded_matrix(c, cutoff)
     return PairOp(coeffs.grid, Z, C)
-
-
-# pair-||U||_{H^{d/2+2.5}} above which freezing at U warns.  Measured on the
-# N=16 two-strip Picard problem: Picard still contracts at datum norm 1e-1
-# (ratios <= 1.6e-2); at 4e-1 its ratios reach 0.22
-_SMALLNESS_GATE = 1e-2
-
-
-def _warn_smallness(U: PairState):
-    s0 = U.grid.dim / 2.0 + 2.5
-    nrm = pair_sobolev_norm(U, s0)
-    if nrm > _SMALLNESS_GATE * (1.0 + 1e-9):
-        warnings.warn(f"frozen state above smallness gate: ||U||_H^{s0} = {nrm:.3e} "
-                      f"> {_SMALLNESS_GATE:.1e}", stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +273,6 @@ def assemble_frozen(U: PairState, nl: Nonlinearity) -> PairOp:
 
     This equals i A(U) + R(U) by construction of the remainder.
     """
-    _warn_smallness(U)
     return assemble_frozen_from_coeffs(compute_coefficients(U, nl))
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from torusctrl import evolve
 from torusctrl.diagonalize import modified_energy_norm
-from torusctrl.evolve import (FreeProgram, FrozenProgram, TimeGrid, Trajectory,
+from torusctrl.evolve import (EvolveError, FreeProgram, FrozenProgram, TimeGrid, Trajectory,
                               evolve_linear, evolve_nonlinear, zero_trajectory)
 from torusctrl.model import (Nonlinearity, assemble_frozen_from_coeffs,
                              compute_coefficients, dealias_mask, full_nonlinear_rhs)
@@ -273,3 +274,33 @@ def test_frozen_generator_is_reversed_by_conjugation(n, amp):
         got = grid.conj_coeffs(L.apply(w.coeffs.ravel()).reshape(grid.shape))
         want = -L_cr.apply(w.conj().coeffs.ravel()).reshape(grid.shape)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["frozen_simplified", "frozen_with_remainder"])
+def test_step_solve_gmres_fallback(monkeypatch, kind):
+    # the fixed-point sweeps solve every step here; with none, every step
+    # solve falls back to GMRES and reaches the same trajectory (measured
+    # 5.5e-16 relative), and a one-iteration backstop short of krylov_tol
+    # raises EvolveError
+    rng = np.random.default_rng(72)
+    grid = TorusGrid(2, 8)
+    tg = TimeGrid(0.0, 1.0, 8)
+    prog = FrozenProgram(constant_background(grid, tg, small_pair(grid, rng, amp=1e-1)),
+                         NL, CUT, kind=kind)
+    W0 = random_field(grid, rng).coeffs
+    calls = []
+    gmres = evolve._gmres_real
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return gmres(*args, **kw)
+    monkeypatch.setattr(evolve, "_gmres_real", counted)
+    want = evolve_linear(prog, W0, krylov_tol=1e-12).terminal.u.coeffs
+    assert not calls
+    monkeypatch.setattr(evolve, "_FIXED_SWEEPS", 0)
+    got = evolve_linear(prog, W0, krylov_tol=1e-12).terminal.u.coeffs
+    assert len(calls) == tg.steps
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    monkeypatch.setattr(evolve, "_STEP_GMRES_BACKSTOP", 1)
+    with pytest.raises(EvolveError, match="Krylov step solve failed: residual="):
+        evolve_linear(prog, W0, krylov_tol=1e-14)

@@ -238,13 +238,15 @@ def test_perturbed_control_layer(background):
     U_in = prob.filter_data(small_pair(grid, rng, amp=1e-2, kmax=2).u.coeffs)
     if background == "zero":
         # E = 0 at the zero background: L_P reduces to L
-        EZ, _ = prob.perturbation_E(U_in)
+        EZ, _ = prob.perturbation_E(prob.solution_op(U_in),
+                                    prob.hum_apply(U_in, with_remainder=True))
         assert np.max(np.abs(EZ)) == 0.0
     else:
         # ||E Z|| <= C eps0 ||Z|| on probes Z = K v in the range of K (C pinned)
         for _ in range(2):
             v = prob.filter_data(random_field(grid, rng).coeffs)
-            EKv, Kv = prob.perturbation_E(v)
+            EKv, Kv = prob.perturbation_E(prob.solution_op(v),
+                                          prob.hum_apply(v, with_remainder=True))
             assert np.linalg.norm(EKv) <= 0.5 * np.linalg.norm(Kv)
     F, _, rep = prob.control_op_P(U_in)
     assert rep.terminal_norm <= 1e-5
@@ -293,6 +295,32 @@ def _recording_hum_apply(prob):
         return HumProblem.hum_apply(prob, v0, **kw)
     prob.hum_apply = record
     return seen
+
+
+def test_control_op_P_costs_one_adjoint_sweep_past_its_krylov_solve():
+    # past its a Gramian applications (one adjoint and one remainder
+    # backward sweep each), a control takes one adjoint sweep S v0, shared
+    # by the control and E K v0, and no further remainder backward sweep:
+    # (K + E K) v0 is the Krylov solve's last application
+    rng = np.random.default_rng(84)
+    grid = TorusGrid(2, 8)
+    st = strip_setup(grid, steps=12, cg_tol=1e-9)
+    prob = HumProblem(st, NL, frozen=frozen_background(grid, st.timegrid, rng))
+    U_in = prob.filter_data(random_field(grid, rng, scale=1e-2).coeffs)
+    applied = _recording_hum_apply(prob)
+    sweeps = {"adjoint": 0, "remainder_backward": 0}
+
+    def solution_op(V0):
+        sweeps["adjoint"] += 1
+        return HumProblem.solution_op(prob, V0)
+
+    def range_op(G_mids, with_remainder=False):
+        sweeps["remainder_backward"] += bool(with_remainder)
+        return HumProblem.range_op(prob, G_mids, with_remainder)
+    prob.solution_op, prob.range_op = solution_op, range_op
+    F, _, rep = prob.control_op_P(U_in)
+    assert len(applied) >= 2 and rep.converged
+    assert sweeps == {"adjoint": len(applied) + 1, "remainder_backward": len(applied)}
 
 
 def _relative_true_residual(prob, b, x):
@@ -365,7 +393,7 @@ def test_K_plus_EK_is_one_remainder_backward_solve():
     err = np.linalg.norm(fused - (Kv + EKv_ref))
     assert err <= 1e-9 * np.linalg.norm(fused)
     assert err <= 1e-6 * np.linalg.norm(EKv_ref)
-    EKv, Kv_E = prob.perturbation_E(v0)
+    EKv, Kv_E = prob.perturbation_E(sol, fused)
     assert np.array_equal(Kv_E, Kv) and np.array_equal(EKv, fused - Kv)
     # at the zero background the two programs are one: equal bit for bit
     free = HumProblem(st, NL)

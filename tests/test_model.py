@@ -432,11 +432,3 @@ def test_pair_structure_preserved():
         w = random_field(grid, rng).coeffs.ravel()
         top, bot = op.apply_full(w, conj_reflect(grid, w))
         assert np.max(np.abs(bot - conj_reflect(grid, top))) < 1e-12 * (np.max(np.abs(top)) + 1e-30)
-
-
-def test_smallness_gate_warns():
-    rng = np.random.default_rng(43)
-    grid = TorusGrid(2, 16)
-    U = small_pair(grid, rng, amp=0.5)
-    with pytest.warns(UserWarning, match="smallness gate"):
-        assemble_A(U, NL, CUT)

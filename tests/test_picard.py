@@ -127,10 +127,27 @@ def test_ledger_counts_every_cg_iteration_of_a_round(monkeypatch):
         reported.append(rep.iterations)
         return F, traj, rep
     monkeypatch.setattr(HumProblem, "control_op_P", counted)
-    res = null_control(u0, NL, st, max_iter=2, tol=1e-8, replay=False)
-    assert len(res.ledger.records) == 2
-    assert [r.cg_iterations for r in res.ledger.records] == reported
+    # two rounds end above target: the ledger comes with the error
+    with pytest.raises(ControlError) as err:
+        null_control(u0, NL, st, max_iter=2, tol=1e-8, replay=False)
+    ledger = err.value.ledger
+    assert len(ledger.records) == 2
+    assert [r.cg_iterations for r in ledger.records] == reported
     assert reported[0] == 1
+
+
+def test_max_iter_cap_above_target_raises():
+    # a round budget that ends with du above tol * scale is an error naming
+    # both, with the ledger of the rounds run; no budget at all is invalid
+    grid = TorusGrid(2, 8)
+    st = strip_setup(grid, steps=12, cg_tol=1e-9, tol_terminal=1e-4)
+    u0 = small_pair(grid, np.random.default_rng(81), amp=1e-2, kmax=1).u
+    with pytest.raises(ControlError, match=r"after max_iter=1 rounds: du \d\.\d{3}e-\d+ "
+                                           r"above target \d\.\d{3}e-\d+") as err:
+        null_control(u0, NL, st, max_iter=1, tol=1e-8)
+    assert len(err.value.ledger.records) == 1
+    with pytest.raises(ValueError, match="max_iter"):
+        null_control(u0, NL, st, max_iter=0)
 
 
 def test_picard_ratio_scales_with_the_square_of_the_amplitude():
@@ -141,8 +158,12 @@ def test_picard_ratio_scales_with_the_square_of_the_amplitude():
     grid = TorusGrid(2, 16)
     st = strip_setup(grid, steps=24, cg_tol=1e-9, tol_terminal=1e-4)
     u0 = small_pair(grid, np.random.default_rng(1), amp=1e-2, kmax=1).u
-    ratios = [null_control(u0 * scale, NL, st, max_iter=2, tol=1e-5, replay=False)
-              .ledger.ratios[0] for scale in (1.0, 3.0)]
+    ratios = []
+    for scale in (1.0, 3.0):
+        # two rounds end above target: the ledger comes with the error
+        with pytest.raises(ControlError) as err:
+            null_control(u0 * scale, NL, st, max_iter=2, tol=1e-5, replay=False)
+        ratios.append(err.value.ledger.ratios[0])
     assert ratios[1] / ratios[0] == pytest.approx(9.0, rel=0.05)
 
 
