@@ -1,20 +1,19 @@
 """Implicit-midpoint time integration for every evolution in the pipeline:
-frozen linear (with or without the smoothing remainder), its exact pairing
-adjoint, and the full nonlinear flow, forward only (conjugation reverses
-its time; see picard).
+frozen linear (with or without the smoothing remainder) and the full
+nonlinear flow, forward only (conjugation reverses its time; see picard).
 
 The paradifferential generator i A(U) is an assembled sparse PairOp; the
 multiplicative frozen generator (with remainder, and the nonlinear step
-operator) is matrix-free, applied by FFTs, and its pairing transpose is the
-exact FFT transpose of the same computation (pairops.MultBlock).
+operator) is matrix-free, applied by FFTs (pairops.MultBlock).
 
 Each step solves (I - (dt/2) L_mid) x* = U_n + (dt/2) G_mid and sets
 U_{n+1} = 2 x* - U_n, with L_mid the generator at the midpoint time
-(frozen coefficients linearly interpolated between node snapshots).  The
-one-step propagator P = (I-aL)^{-1}(I+aL) satisfies P^T = Q^{-1} exactly
-against the adjoint-generator propagator Q, so the discrete duality sum
-sum_n dt (G_n, V*_n) telescopes exactly (to Krylov tolerance); all HUM
-identities inherit that exactness.
+(frozen coefficients linearly interpolated between node snapshots).
+L = i A(U) is Hamiltonian, -L^T = i L i^-1 (FrozenProgram), so the one-step
+propagator P = (I-aL)^{-1}(I+aL) satisfies P^T = Q^{-1} exactly with
+Q = i P i^-1: the adjoint flow is the forward flow conjugated by i
+(hum.HumProblem.solution_op), the duality sum sum_n dt (G_n, V*_n)
+telescopes exactly (to Krylov tolerance), and all HUM identities inherit it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .model import (Nonlinearity, assemble_A_from_coeffs, assemble_frozen_from_coeffs,
-                    compute_coefficients, dealias_mask)
+                    compute_coefficients, dealias_mask, free_flow)
 from .pairops import DiagonalOp, PairOp
 from .paradiff import CutoffProfile
 from .spectral import PairState, SpectralField, TorusGrid
@@ -93,10 +92,9 @@ class FrozenProgram:
 
     kind: "frozen_simplified" (i A(U), paradifferential) or
     "frozen_with_remainder" (i A(U) + R(U), the multiplicative frozen form).
-    adjoint_program() gives the exact pairing adjoint -L^T
-    (PairOp.transpose_pairing of each step operator: the transposed CSR
-    blocks of i A(U), the exact FFT transpose of the matrix-free
-    multiplicative form; discrete duality is exact either way).
+    The simplified L = i A(U) is Hamiltonian, -L^T = i L i^-1 in the pairing,
+    and conjugation-equivariant, cr(L(U) w) = -L(cr U) cr(w), once
+    _nyquist_consistent has zeroed the entries that have no mirror partner.
 
     The frozen-with-remainder step operator comes from _frozen_generator, as
     evolve_nonlinear's does: frozen at U and applied to U, it is the
@@ -114,43 +112,40 @@ class FrozenProgram:
         self.grid = frozen.grid
         self.tg = frozen.tg
         self._cache = {}
-        self._base = None  # the forward program, when this is its adjoint
-
-    def adjoint_program(self):
-        other = FrozenProgram.__new__(FrozenProgram)
-        other.__dict__.update(self.__dict__)
-        other._cache = {}
-        other._base = self
-        return other
 
     def step_op(self, n):
-        if n in self._cache:
-            return self._cache[n]
-        if self._base is not None:
-            base = self._base.step_op(n)
-            op = (-1.0) * base.transpose_pairing()
-        elif self.kind == "frozen_with_remainder":
-            op = _frozen_generator(self.grid, self.nl, self.frozen.mid_background(n))
-        else:
+        if n not in self._cache:
             bg = self.frozen.mid_background(n)
-            co = compute_coefficients(PairState(SpectralField(self.grid, bg)), self.nl)
-            op = assemble_A_from_coeffs(co, self.cutoff, 1j)
-        self._cache[n] = op
-        return op
+            if self.kind == "frozen_with_remainder":
+                self._cache[n] = _frozen_generator(self.grid, self.nl, bg)
+            else:
+                co = compute_coefficients(PairState(SpectralField(self.grid, bg)), self.nl)
+                self._cache[n] = _nyquist_consistent(assemble_A_from_coeffs(co, self.cutoff, 1j))
+        return self._cache[n]
+
+
+def _nyquist_consistent(L: PairOp) -> PairOp:
+    """L = i A(U) with its Z and C entries in a row or column with a -N/2 component, which
+    j -> -j wraps to itself, zeroed in place, in O(nnz), but the free diagonal (free_flow)."""
+    g = L.grid
+    nyq = np.any(np.broadcast_arrays(*[f == -(g.n // 2) for f in g.freqs]), axis=0).ravel()
+    for M in [M for M in (L.Z, L.C) if M is not None]:
+        rows = np.repeat(np.arange(g.size), np.diff(M.indptr))
+        hit = nyq[rows] | nyq[M.indices]
+        M.data[hit] = 0.0
+        if M is L.Z:
+            free = hit & (rows == M.indices)
+            M.data[free] = free_flow(g).diagonal()[rows[free]]
+    return L
 
 
 class FreeProgram:
-    """Zero background: the generator is the exact diagonal multiplier."""
+    """Zero background: the generator is the exact diagonal multiplier i A(0) = -i|k|^2."""
 
     def __init__(self, grid: TorusGrid, tg: TimeGrid):
         self.grid = grid
         self.tg = tg
-        # i A(0) = -i |k|^2 multiplier
-        self._op = DiagonalOp(grid, -1j * grid.abs2.ravel())
-
-    def adjoint_program(self):
-        # the pairing adjoint -conj(-i|k|^2) = -i|k|^2: the free flow is its own
-        return self
+        self._op = DiagonalOp(grid, free_flow(grid).diagonal())
 
     def step_op(self, n):
         return self._op

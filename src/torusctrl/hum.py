@@ -2,10 +2,10 @@
 inversion in the pair scalar product, the control operators for the
 simplified and remainder-perturbed systems, and the observability constant.
 
-The solution operator is the exact discrete pairing-adjoint flow of the
-forward generator (see evolve), so the duality identity, the symmetry and
-positivity of the Gramian, and the controlled-replay identities all hold to
-Krylov tolerance at every frozen background.
+The solution operator S v = i Phi(v / i), Phi the forward simplified flow, is
+its exact pairing adjoint, since -L^T = i L i^-1 (evolve.FrozenProgram); so
+duality, the symmetry and positivity of the Gramian, and the controlled-replay
+identities all hold to Krylov tolerance at every frozen background.
 
 One GMRES in the pair product (HumProblem._solve), preconditioned by the
 closed-form zero-background Gramian K0 (free_gramian), serves both HUM
@@ -161,12 +161,10 @@ class HumProblem:
             raise ValueError("frozen trajectory and setup use different time grids")
         self.frozen = frozen
         if frozen is None or _is_zero(frozen):
-            self.simp = FreeProgram(self.grid, self.tg)
-            self.rem = self.simp
+            self.simp = self.rem = FreeProgram(self.grid, self.tg)
         else:
             self.simp = FrozenProgram(frozen, nl, CutoffProfile(), kind="frozen_simplified")
             self.rem = FrozenProgram(frozen, nl, CutoffProfile(), kind="frozen_with_remainder")
-        self.adj = self.simp.adjoint_program()
         self._chi = setup.chi_mid
 
     # -- elementary operators ------------------------------------------------
@@ -176,8 +174,14 @@ class HumProblem:
         return g.coeffs_from_values((self.setup.phi_values ** power) * g.values_from_coeffs(coeffs))
 
     def solution_op(self, V0) -> Trajectory:
-        """Adjoint flow from V(0) = V0 (midpoint samples feed the Gramian)."""
-        return evolve_linear(self.adj, V0, krylov_tol=self.setup.krylov_tol)
+        """Adjoint flow i Phi(V0 / i) from V(0) = V0 (module docstring); its midpoints feed
+        the Gramian.  The free flow is complex-linear: there i Phi(V0 / i) = Phi(V0)."""
+        if isinstance(self.simp, FreeProgram):
+            return evolve_linear(self.simp, V0, krylov_tol=self.setup.krylov_tol)
+        fwd = evolve_linear(self.simp, -1j * _as_coeffs(self.grid, V0),
+                            krylov_tol=self.setup.krylov_tol)
+        return Trajectory(self.grid, self.tg, [1j * s for s in fwd.states],
+                          [1j * m for m in fwd.midpoints])
 
     def range_op(self, G_mids, with_remainder=False):
         """Backward solve dU = L U + G, U(T) = 0; returns (U(0), trajectory)."""
@@ -241,13 +245,14 @@ class HumProblem:
         """GMRES on apply_fn(x) = b in the pair product; returns (x, apply_fn(x), report).
 
         apply_fn (K or K + E K) takes grid-shaped arrays, x and apply_fn(x) come
-        back raveled.  GMRES is
-        left-preconditioned by K0^-1 (free_gramian's cached Cholesky factor;
-        K0 = K at the zero background) and stops when the true relative
-        residual reaches setup.cg_tol, with setup.cg_budget iterations as the
-        backstop.  extras hold that residual and its gamma-filtered (in-ball)
-        and out-of-ball parts; HumError names them, the iteration count and
-        setup.nyquist_phase_step when the backstop ends the solve short of tol.
+        back raveled.  GMRES is left-preconditioned by K0^-1 (free_gramian's
+        cached Cholesky factor; K0 = K at the zero background) and stops when
+        the true relative residual reaches setup.cg_tol, with setup.cg_budget
+        iterations as the backstop.  extras hold that residual and its
+        gamma-filtered (in-ball) and out-of-ball parts; HumError names them, the
+        iteration count and setup.nyquist_phase_step when the backstop ends the
+        solve short of tol, and that step and the failed pivot when K0 is not
+        positive definite.
         """
         st = self.setup
         b = np.asarray(b, dtype=complex).ravel()
@@ -255,8 +260,12 @@ class HumProblem:
         if bn == 0.0:
             return (np.zeros_like(b), np.zeros_like(b),
                     HumSolveReport(converged=True, extras={"true_residual": 0.0}))
-        chol = _free_gramian_factor(self.grid, self.tg.dt, self._chi.tobytes(),
-                                    st.phi_values.tobytes())
+        try:
+            chol = _free_gramian_factor(self.grid, self.tg.dt, self._chi.tobytes(),
+                                        st.phi_values.tobytes())
+        except np.linalg.LinAlgError as e:
+            raise HumError(f"K0, preconditioning {what}, is not positive definite at dt*(N/2)^2"
+                           f" = {st.nyquist_phase_step:.3g}: Cholesky failed, {e}") from e
         x, its, Ax = _gmres_real(lambda v: apply_fn(v.reshape(self.grid.shape)).ravel(),
                                  lambda z: cho_solve(chol, z), b, st.cg_tol, st.cg_budget)
         r = b - Ax

@@ -280,7 +280,7 @@ def assemble_frozen_from_coeffs(coeffs: CoefficientSet) -> PairOp:
     """i L(U) as a matrix-free PairOp.
 
     The free flow -i|k|^2 is the sparse part, and nothing else is (a CSR
-    diagonal shared by every assembly on the grid, see _free_flow); the
+    diagonal shared by every assembly on the grid, see free_flow); the
     coefficient terms c(x) m(D) form one multiplication block (its
     multipliers shared likewise, see _frozen_multipliers), applied as
     i F[sum c F^-1(m w)] by FFTs, so the operator costs O(N^d) memory.
@@ -289,11 +289,11 @@ def assemble_frozen_from_coeffs(coeffs: CoefficientSet) -> PairOp:
     z_terms, c_terms = frozen_symbol_terms(coeffs)
     block = MultBlock(np.full(grid.shape, 1j), np.stack([c for c, _ in z_terms + c_terms]),
                       _frozen_multipliers(grid), len(z_terms))
-    return PairOp(grid, _free_flow(grid), mult=(block,))
+    return PairOp(grid, free_flow(grid), mult=(block,))
 
 
 @cache
-def _free_flow(grid: TorusGrid):
+def free_flow(grid: TorusGrid):
     """The free flow -i|k|^2 as a CSR diagonal, built once per grid.
 
     Its arrays are read-only: every frozen generator on the grid shares them.
@@ -316,7 +316,7 @@ def frozen_linear_rhs(U_frozen: PairState, W: PairState, nl: Nonlinearity) -> Pa
 
 def remainder_apply(U_frozen: PairState, W: PairState, nl: Nonlinearity,
                     cutoff: CutoffProfile) -> PairState:
-    """R(U) W = frozen_linear_rhs(U, W) - i A(U) W."""
+    """R(U) W = frozen_linear_rhs(U, W) - i A(U) W (not the solver's at the Nyquist modes)."""
     frozen = frozen_linear_rhs(U_frozen, W, nl)
     A = assemble_A_from_coeffs(compute_coefficients(U_frozen, nl), cutoff)
     iAw = 1j * A.apply(W.u.coeffs.ravel())
@@ -325,5 +325,5 @@ def remainder_apply(U_frozen: PairState, W: PairState, nl: Nonlinearity,
 
 
 def remainder_pairop(coeffs: CoefficientSet, cutoff: CutoffProfile) -> PairOp:
-    """R(U) as a PairOp (frozen minus i A)."""
+    """R(U) as a PairOp, frozen minus i A (not the solver's at the Nyquist modes)."""
     return assemble_frozen_from_coeffs(coeffs) + assemble_A_from_coeffs(coeffs, cutoff, -1j)

@@ -226,11 +226,6 @@ def pair_scalar_product_H0(U: PairState, V: PairState) -> float:
     return 2.0 * l2_inner(U.u, V.u).real
 
 
-def pair_sobolev_norm(U: PairState, s: float) -> float:
-    """Norm of U=(u, conj u) in the pair space: sqrt(2) * ||u||_{H^s}."""
-    return float(np.sqrt(2.0)) * sobolev_norm(U.u, s)
-
-
 def littlewood_paley_project(f: SpectralField, j_band: int) -> SpectralField:
     """Retain modes with 2^j <= <k> < 2^(j+1).
 

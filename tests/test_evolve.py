@@ -1,6 +1,8 @@
 """Time-integration tests: exact-multiplier oracles, conservation laws,
 adjoint-pairing exactness, reversibility, and convergence order."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from torusctrl import evolve
 from torusctrl.diagonalize import modified_energy_norm
 from torusctrl.evolve import (EvolveError, FreeProgram, FrozenProgram, TimeGrid, Trajectory,
                               evolve_linear, evolve_nonlinear, zero_trajectory)
+from torusctrl.hum import ControlSetup, HumProblem
 from torusctrl.model import (Nonlinearity, assemble_frozen_from_coeffs,
                              compute_coefficients, dealias_mask, full_nonlinear_rhs)
 from torusctrl.pairops import PairOp
@@ -111,23 +114,32 @@ def test_unitarity_free_and_drift_bound_small_background():
 
 
 def test_adjoint_pairing_exactly_conserved():
-    # forward flow of L against forward flow of -L^T conserves the pairing
-    # to Krylov tolerance at every background, including the remainder kind
+    # the forward flow of the simplified generator L against the adjoint flow
+    # HumProblem.solution_op, i Phi(B0 / i) with Phi the forward flow of L,
+    # conserves the pairing to Krylov tolerance, since -L^T = i L i^-1; that
+    # flow is the one of the transposed step operators -L^T (measured equal
+    # bit for bit at every node)
     rng = np.random.default_rng(62)
     grid = TorusGrid(2, 16)
-    tg = TimeGrid(0.0, 0.5, 25)
+    st = ControlSetup(grid, T=0.5, steps=25, krylov_tol=1e-12)
+    tg = st.timegrid
     U = small_pair(grid, rng, amp=1e-2)
-    for kind in ("frozen_simplified", "frozen_with_remainder"):
-        prog = FrozenProgram(constant_background(grid, tg, U), NL, CUT, kind=kind)
-        adj = prog.adjoint_program()
-        A0 = PairState(random_field(grid, rng))
-        B0 = PairState(random_field(grid, rng))
-        ta = evolve_linear(prog, A0, krylov_tol=1e-12)
-        tb = evolve_linear(adj, B0, krylov_tol=1e-12)
-        p0 = pair_scalar_product_H0(A0, B0)
-        for n in range(0, tg.steps + 1, 5):
-            pn = pair_scalar_product_H0(ta.state(n), tb.state(n))
-            assert abs(pn - p0) <= 1e-9 * max(abs(p0), 1.0)
+    prob = HumProblem(st, NL, frozen=constant_background(grid, tg, U))
+    A0 = PairState(random_field(grid, rng))
+    B0 = PairState(random_field(grid, rng))
+    ta = evolve_linear(prob.simp, A0, krylov_tol=1e-12)
+    tb = prob.solution_op(B0)
+    p0 = pair_scalar_product_H0(A0, B0)
+    for n in range(0, tg.steps + 1, 5):
+        pn = pair_scalar_product_H0(ta.state(n), tb.state(n))
+        assert abs(pn - p0) <= 1e-9 * max(abs(p0), 1.0)
+
+    def transposed_step(n):
+        return (-1.0) * prob.simp.step_op(n).transpose_pairing()
+    transposed = SimpleNamespace(grid=grid, tg=tg, step_op=transposed_step)
+    tt = evolve_linear(transposed, B0, krylov_tol=1e-12)
+    err = max(np.linalg.norm(x - y) for x, y in zip(tb.states, tt.states))
+    assert err <= 1e-13 * np.linalg.norm(B0.u.coeffs)
 
 
 def test_backward_forward_round_trip():
@@ -253,27 +265,47 @@ def test_dealiased_step_op_is_the_explicit_formula():
         assert np.array_equal(prog.step_op(n).apply(w), want.apply(w))
 
 
-@pytest.mark.parametrize("n", [8, 16])
+def frozen_generator(grid, u, kind="frozen_simplified"):
+    """The step operator of the given kind at the constant background u."""
+    tg = TimeGrid(0.0, 0.1, 1)
+    return FrozenProgram(constant_background(grid, tg, PairState(u)), NL, CUT,
+                         kind=kind).step_op(0)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("amp", [1e-2, 1e-1])
 def test_frozen_generator_is_reversed_by_conjugation(n, amp):
-    # g1, g2 real: the dealiased frozen-with-remainder generator satisfies
-    # cr(L(U) w) = -L(cr U) cr(w), which lets exact control take its
-    # backward half from the forward solver (measured bitwise at N=8, within
-    # 8.6e-23 relative at N=16)
+    # g1, g2 real: both frozen generators satisfy cr(L(U) w) = -L(cr U) cr(w),
+    # which lets exact control take its backward half from the forward
+    # solver.  Measured: the dealiased frozen-with-remainder generator
+    # bitwise at N=8, within 8.6e-23 relative at N=16 and 32; i A(U), its
+    # Nyquist rows and columns masked, within 8.4e-17 relative
     rng = np.random.default_rng(71)
     grid = TorusGrid(2, n)
-    tg = TimeGrid(0.0, 0.1, 1)
-
-    def generator(u):
-        return FrozenProgram(constant_background(grid, tg, PairState(u)), NL, CUT,
-                             kind="frozen_with_remainder").step_op(0)
     u = small_pair(grid, rng, amp=amp).u
-    L, L_cr = generator(u), generator(u.conj())
+    for kind in ("frozen_with_remainder", "frozen_simplified"):
+        L, L_cr = frozen_generator(grid, u, kind), frozen_generator(grid, u.conj(), kind)
+        for _ in range(3):
+            w = random_field(grid, rng)
+            got = grid.conj_coeffs(L.apply(w.coeffs.ravel()).reshape(grid.shape))
+            want = -L_cr.apply(w.conj().coeffs.ravel()).reshape(grid.shape)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), kind
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("amp", [1e-2, 1e-1])
+def test_simplified_generator_is_hamiltonian(n, amp):
+    # -L^T = i L i^-1 in the pairing 2 Re<u, v> for L = i A(U), so the
+    # adjoint flow is the forward flow conjugated by i (measured 0: with the
+    # Nyquist rows and columns masked, transposing only moves entries)
+    rng = np.random.default_rng(73)
+    grid = TorusGrid(2, n)
+    L = frozen_generator(grid, small_pair(grid, rng, amp=amp).u)
+    minus_LT = (-1.0) * L.transpose_pairing()
     for _ in range(3):
-        w = random_field(grid, rng)
-        got = grid.conj_coeffs(L.apply(w.coeffs.ravel()).reshape(grid.shape))
-        want = -L_cr.apply(w.conj().coeffs.ravel()).reshape(grid.shape)
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        w = random_field(grid, rng).coeffs.ravel()
+        want = 1j * L.apply(-1j * w)
+        assert np.linalg.norm(minus_LT.apply(w) - want) <= 1e-15 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("kind", ["frozen_simplified", "frozen_with_remainder"])

@@ -362,6 +362,24 @@ def test_cg_errors_name_the_nyquist_phase_step():
         prob.hum_invert(U_in)
 
 
+def test_singular_K0_raises_a_hum_error():
+    # N=16 with one step, dt (N/2)^2 = 64: K0[j, k] = c conj(w_j) w_k
+    # (phi^2)^[j - k], a circulant whose eigenvalues are phi^2 on the grid
+    # scaled on both sides, so its kernel has one dimension per grid point
+    # outside the control region, 121 of 256, by construction and not by
+    # rounding (the next eigenvalue is 3.7e-4 of the largest).  Cholesky
+    # cannot factor it (measured: it stops at the 86-th leading minor), so K0
+    # cannot precondition a solve; the HumError names dt*(N/2)^2.
+    rng = np.random.default_rng(80)
+    grid = TorusGrid(2, 16)
+    prob = HumProblem(strip_setup(grid, steps=1), NL)
+    ev = np.linalg.eigvalsh(prob.free_gramian)
+    assert np.sum(np.abs(ev) < 1e-12 * ev[-1]) == np.sum(prob.setup.phi_values == 0.0) == 121
+    with pytest.raises(HumError, match=r"^K0, preconditioning K v0 = U_in, is not positive "
+                                       r"definite at dt\*\(N/2\)\^2 = 64: Cholesky failed, "):
+        prob.control_op(small_pair(grid, rng, amp=1e-2).u.coeffs)
+
+
 def test_K_plus_EK_is_one_remainder_backward_solve():
     # (K + E K) v = hum_apply(v, with_remainder=True) against K v plus E K v
     # composed step by step: E K v = R_P R(U) S_P K v, with S_P K v the
